@@ -2,64 +2,31 @@ package core
 
 import "testing"
 
-// BenchmarkDrainAbsorbCycle contrasts the two agent→collector interval
-// hand-offs over a paper-default pipeline (5 features × 3 clones × 1024
-// bins) holding a 5k-flow open interval:
-//
-//   - snapshot: the former path — DrainSnapshot deep-copies the full
-//     bank (detection history included), the collector restores it into
-//     a scratch pipeline and Absorbs the scratch into the primary.
-//   - open-interval: DrainOpenInterval copies only the clone snapshots
-//     and the flow buffer, and AbsorbOpenInterval merges them into the
-//     primary additively — no history copy, no scratch restore.
-//
-// One iteration is one interval hand-off; the per-op allocation gap is
-// the history weight the lean path no longer moves.
+// BenchmarkDrainAbsorbCycle measures one agent→collector interval
+// hand-off over a paper-default pipeline (5 features × 3 clones × 1024
+// bins) holding a 5k-flow open interval: DrainOpenInterval copies the
+// clone snapshots and the flow buffer, AbsorbOpenInterval merges them
+// into the primary additively, and the primary closes the interval.
 func BenchmarkDrainAbsorbCycle(b *testing.B) {
-	setup := func(b *testing.B) (agent, primary, scratch *Pipeline) {
-		b.Helper()
-		for _, pp := range []**Pipeline{&agent, &primary, &scratch} {
-			p, err := New(Config{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(p.Close)
-			*pp = p
+	mk := func() *Pipeline {
+		p, err := New(Config{})
+		if err != nil {
+			b.Fatal(err)
 		}
-		return
+		b.Cleanup(p.Close)
+		return p
 	}
+	agent, primary := mk(), mk()
 	recs := snapRecords(0, 5000, false)
-
-	b.Run("snapshot", func(b *testing.B) {
-		agent, primary, scratch := setup(b)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			agent.ObserveBatch(recs)
-			snap := agent.DrainSnapshot()
-			if err := scratch.RestoreSnapshot(snap); err != nil {
-				b.Fatal(err)
-			}
-			if err := primary.Absorb(scratch); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := primary.EndInterval(); err != nil {
-				b.Fatal(err)
-			}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		agent.ObserveBatch(recs)
+		if err := primary.AbsorbOpenInterval(agent.DrainOpenInterval()); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("open-interval", func(b *testing.B) {
-		agent, primary, _ := setup(b)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			agent.ObserveBatch(recs)
-			if err := primary.AbsorbOpenInterval(agent.DrainOpenInterval()); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := primary.EndInterval(); err != nil {
-				b.Fatal(err)
-			}
+		if _, err := primary.EndInterval(); err != nil {
+			b.Fatal(err)
 		}
-	})
+	}
 }

@@ -119,11 +119,10 @@ func TestExtractOfflineMinerError(t *testing.T) {
 	}
 }
 
-// TestPipelineAbsorbMergesState pins the PR 2 merge contract of the
-// public Absorb API (the buffer-moving variant, still exposed via the
-// facade for caller-managed merges): absorbing a sibling and closing
-// the interval yields the report one pipeline over the combined stream
-// produces.
+// TestPipelineAbsorbMergesState pins the shard-merge contract: a group
+// close that absorbs a sibling's clone histograms and buffer yields the
+// report one pipeline over the combined stream produces, and leaves the
+// sibling drained for the next interval.
 func TestPipelineAbsorbMergesState(t *testing.T) {
 	cfg := Config{Detector: detector.Config{Bins: 128, Seed: 9}}
 	mk := func() *Pipeline {
@@ -146,10 +145,7 @@ func TestPipelineAbsorbMergesState(t *testing.T) {
 	defer b.Close()
 	a.ObserveBatch(recs[:len(recs)/2])
 	b.ObserveBatch(recs[len(recs)/2:])
-	if err := a.Absorb(b); err != nil {
-		t.Fatal(err)
-	}
-	gotRep, err := a.EndInterval()
+	gotRep, err := EndIntervalGroup([]*Pipeline{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,8 +156,10 @@ func TestPipelineAbsorbMergesState(t *testing.T) {
 	if rep, err := b.EndInterval(); err != nil || rep.TotalFlows != 0 {
 		t.Fatalf("sibling not drained: %+v, %v", rep, err)
 	}
-	if err := a.Absorb(a); err == nil {
-		t.Fatal("self-absorb accepted")
+	for _, h := range b.bank.LiveInterval()[0] {
+		if h.Total() != 0 {
+			t.Fatalf("sibling clone still holds %d observations", h.Total())
+		}
 	}
 }
 
@@ -183,6 +181,15 @@ func TestEndIntervalGroupValidation(t *testing.T) {
 	// lock of the same pipeline.
 	if _, err := EndIntervalGroup([]*Pipeline{p, q, q}); err == nil {
 		t.Fatal("duplicate pipeline in group accepted")
+	}
+	// Clones merge only across equal detector configurations.
+	wide, err := New(Config{Detector: detector.Config{Bins: 128}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wide.Close()
+	if _, err := EndIntervalGroup([]*Pipeline{p, wide}); err == nil {
+		t.Fatal("group across detector configurations accepted")
 	}
 	// A singleton group is the plain interval close.
 	p.Observe(flow.Record{DstPort: 80})

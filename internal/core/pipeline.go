@@ -14,11 +14,13 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"anomalyx/internal/cost"
 	"anomalyx/internal/detector"
 	"anomalyx/internal/flow"
+	"anomalyx/internal/histogram"
 	"anomalyx/internal/itemset"
 	"anomalyx/internal/mining"
 	"anomalyx/internal/mining/apriori"
@@ -122,11 +124,12 @@ type Pipeline struct {
 	mu sync.Mutex
 	// buffer holds the open interval's flows in columnar (SoA) form; see
 	// flow.Buffer. Rows append in observation order, and every consumer —
-	// prefilter scan, snapshot, wire encode — walks it column-wise.
-	buffer flow.Buffer
+	// prefilter scan, snapshot, wire encode — walks it column-wise. The
+	// pipelined close swaps it for a recycled one.
+	buffer *flow.Buffer
 
-	// selfGroup is the single-element group BeginClose drains, built once
-	// so the pipelined hot path allocates nothing per close.
+	// selfGroup is the single-element group the per-pipeline close and
+	// drain entry points run, built once so they allocate no group.
 	selfGroup []*Pipeline
 
 	// spares is the freelist of reset interval states (clone histograms +
@@ -154,7 +157,7 @@ func New(cfg Config) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Pipeline{cfg: cfg, bank: bank}
+	p := &Pipeline{cfg: cfg, bank: bank, buffer: new(flow.Buffer)}
 	p.selfGroup = []*Pipeline{p}
 	return p, nil
 }
@@ -187,51 +190,7 @@ func (p *Pipeline) ObserveBatch(recs []flow.Record) {
 // EndInterval closes the current interval: runs detection and, on an
 // alarm, extraction (prefilter + mining). The flow buffer is cleared.
 func (p *Pipeline) EndInterval() (*Report, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	det := p.bank.EndInterval()
-	rep := &Report{
-		Interval:   det.Interval,
-		Detection:  det,
-		Alarm:      det.Alarm,
-		TotalFlows: p.buffer.Len(),
-	}
-	if det.Alarm && det.Meta.Count() > 0 {
-		if err := p.extract(rep, det.Meta); err != nil {
-			return nil, err
-		}
-	}
-	p.buffer.Reset()
-	return rep, nil
-}
-
-// Absorb folds other's in-progress interval into p: other's buffered
-// flows move to the end of p's flow buffer and other's detector-bank
-// clone histograms merge additively into p's (see detector.Bank.Absorb),
-// leaving other empty and ready for the next interval. Both pipelines
-// must share the detector configuration. This is the cross-shard merge:
-// because histogram clones with equal seeds are exact mergeable
-// sketches, a primary pipeline that absorbs N-1 siblings and then runs
-// EndInterval produces a report identical to one pipeline having
-// observed the whole stream — only the flow-buffer order differs (p's
-// records first, then other's), which no report field other than the
-// KeepSuspicious forensic slice depends on.
-func (p *Pipeline) Absorb(other *Pipeline) error {
-	if other == p {
-		return fmt.Errorf("core: pipeline cannot absorb itself")
-	}
-	// Lock in caller order; absorbs fan in toward one primary (the shard
-	// merge), so no cycle can form.
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	other.mu.Lock()
-	defer other.mu.Unlock()
-	if err := p.bank.Absorb(other.bank); err != nil {
-		return err
-	}
-	p.buffer.AppendBuffer(&other.buffer)
-	other.buffer.Reset()
-	return nil
+	return EndIntervalGroup(p.selfGroup)
 }
 
 // Close releases the detector bank's worker pool. It is idempotent. The
@@ -245,21 +204,11 @@ func (p *Pipeline) ProcessInterval(recs []flow.Record) (*Report, error) {
 	return p.EndInterval()
 }
 
-// extract runs prefiltering and mining for an alarming interval. The
-// prefilter scan fans out over cfg.Workers chunks; the chunked output is
-// concatenated in range order, so the report is byte-identical to a
-// sequential scan.
-func (p *Pipeline) extract(rep *Report, meta detector.MetaData) error {
-	suspicious := prefilter.FilterBufferParallel(p.cfg.Prefilter, meta, &p.buffer, p.cfg.Workers)
-	return finishExtract(p.cfg, rep, suspicious)
-}
-
 // finishExtract populates rep's extraction fields from an
 // already-prefiltered suspicious set: counts, resolved minimum support,
-// mining result, maximal item-sets, and cost reduction. Every extraction
-// entry point — the online interval close, the offline post-mortem, and
-// the distributed sharded close — funnels through here so their reports
-// stay field-for-field comparable.
+// mining result, maximal item-sets, and cost reduction. Both extraction
+// entry points — the interval close and the offline post-mortem —
+// funnel through here so their reports stay field-for-field comparable.
 func finishExtract(cfg Config, rep *Report, suspicious []flow.Record) error {
 	rep.SuspiciousFlows = len(suspicious)
 	if cfg.KeepSuspicious {
@@ -315,99 +264,152 @@ func ExtractOffline(cfg Config, recs []flow.Record, meta detector.MetaData) (*Re
 }
 
 // EndIntervalGroup closes one measurement interval in lockstep across a
-// group of shard pipelines, with the extraction stage distributed over
-// the shards instead of funneled through one merged buffer:
-//
-//  1. the primary (first) pipeline absorbs every sibling's detector-bank
-//     clone histograms (exact mergeable sketches — see Absorb) and
-//     closes detection over the merged state;
-//  2. on an alarm, every shard prefilters its own local flow buffer
-//     concurrently (one goroutine per shard, each fanning further out
-//     over its pipeline's Workers), and the per-shard suspicious sets
-//     concatenate in shard order — the same flows the former
-//     merge-then-scan produced, in the same order, found by one parallel
-//     pass over buffers that never leave their shard;
-//  3. the merged suspicious set is mined once.
-//
-// All buffers are cleared before returning. Every pipeline must share
-// the detector configuration; the pipelines must not observe flows
-// concurrently with the group close (the shard package serializes this).
-// The report is byte-identical to a single pipeline having observed the
-// whole stream — only the KeepSuspicious forensic slice regroups by
-// shard.
+// group of shard pipelines: closeInterval over every member's live
+// clone sets and flow buffer, with all members locked. The primary
+// (first) pipeline owns detection history; on an alarm every shard
+// prefilters its own buffer, so buffers never leave their shard. Every
+// pipeline must share the detector configuration; the pipelines must
+// not observe flows concurrently with the group close (the shard
+// package serializes this). The report is byte-identical to a single
+// pipeline having observed the whole stream — only the KeepSuspicious
+// forensic slice regroups by shard. A one-pipeline group is
+// Pipeline.EndInterval.
 func EndIntervalGroup(group []*Pipeline) (*Report, error) {
-	if len(group) == 0 {
-		return nil, fmt.Errorf("core: empty pipeline group")
+	if err := checkGroup(group); err != nil {
+		return nil, err
 	}
-	if len(group) == 1 {
-		return group[0].EndInterval()
-	}
-	// Reject duplicates before taking any lock: locking the same
-	// pipeline twice would self-deadlock instead of erroring.
-	for i := range group {
-		for j := i + 1; j < len(group); j++ {
-			if group[i] == group[j] {
-				return nil, fmt.Errorf("core: duplicate pipeline in group")
-			}
-		}
-	}
+	// Lock in group order; groups fan in toward one primary, so no lock
+	// cycle can form.
 	for _, p := range group {
 		p.mu.Lock()
 		defer p.mu.Unlock()
 	}
-	primary := group[0]
-	siblings := make([]*detector.Bank, len(group)-1)
-	for i, sh := range group[1:] {
-		siblings[i] = sh.bank
+	states := make([]intervalState, len(group))
+	for i, p := range group {
+		states[i] = intervalState{clones: p.bank.LiveInterval(), buffer: p.buffer}
 	}
-	// Parallel fold (one task per detector) — byte-identical to absorbing
-	// each shard in turn, without serializing the merge on this goroutine.
-	if err := primary.bank.AbsorbGroup(siblings); err != nil {
+	return closeInterval(group, states)
+}
+
+// checkGroup validates a close or drain group: non-empty, no pipeline
+// twice (locking one twice would self-deadlock instead of erroring), and
+// one detector configuration throughout (histogram clones merge only
+// across equal seeds and bin counts).
+func checkGroup(group []*Pipeline) error {
+	if len(group) == 0 {
+		return fmt.Errorf("core: empty pipeline group")
+	}
+	primary := group[0].bank.Detectors()
+	for i, p := range group {
+		for _, q := range group[i+1:] {
+			if p == q {
+				return fmt.Errorf("core: duplicate pipeline in group")
+			}
+		}
+		if !slices.EqualFunc(p.bank.Detectors(), primary, func(a, b *detector.Detector) bool {
+			return a.Config() == b.Config()
+		}) {
+			return fmt.Errorf("core: pipeline %d of the group has a different detector configuration", i)
+		}
+	}
+	return nil
+}
+
+// closeInterval is the interval close — the one implementation behind
+// both close paths:
+//
+//  1. the siblings' clone sets merge into the primary's in group order
+//     (Bank.MergeDrained: exact mergeable sketches, one task per
+//     detector);
+//  2. detection closes over the merged sets against the primary bank's
+//     history (Bank.FinishInterval, which resets the primary's sets);
+//  3. on an alarm every member's buffer is prefiltered concurrently and
+//     the suspicious sets concatenate in group order before one mining
+//     pass (finishExtract);
+//  4. the siblings' histograms and every buffer are reset.
+//
+// states[i] is group[i]'s share of the interval. The synchronous close
+// (EndIntervalGroup) passes the live state under the members' locks;
+// the pipelined close (PendingClose.Finish) passes drained state and
+// then recycles it.
+func closeInterval(group []*Pipeline, states []intervalState) (*Report, error) {
+	primary := group[0]
+	merged := states[0].clones
+	if len(states) > 1 {
+		siblings := make([][][]*histogram.Histogram, len(states)-1)
+		for i := range siblings {
+			siblings[i] = states[i+1].clones
+		}
+		primary.bank.MergeDrained(merged, siblings)
+	}
+	det := primary.bank.FinishInterval(merged)
+	rep := &Report{
+		Interval:  det.Interval,
+		Detection: det,
+		Alarm:     det.Alarm,
+	}
+	for _, st := range states {
+		rep.TotalFlows += st.buffer.Len()
+	}
+	var err error
+	if det.Alarm && det.Meta.Count() > 0 {
+		err = finishExtract(primary.cfg, rep, prefilterGroup(group, states, det.Meta))
+	}
+	for i, st := range states {
+		if i > 0 {
+			resetClones(st.clones)
+		}
+		st.buffer.Reset()
+	}
+	if err != nil {
 		return nil, err
 	}
-	det := primary.bank.EndInterval()
-	total := 0
-	for _, sh := range group {
-		total += sh.buffer.Len()
-	}
-	rep := &Report{
-		Interval:   det.Interval,
-		Detection:  det,
-		Alarm:      det.Alarm,
-		TotalFlows: total,
-	}
-	if det.Alarm && det.Meta.Count() > 0 {
-		parts := make([][]flow.Record, len(group))
-		var wg sync.WaitGroup
-		for i, sh := range group {
-			if sh.buffer.Len() == 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(i int, sh *Pipeline) {
-				defer wg.Done()
-				parts[i] = prefilter.FilterBufferParallel(sh.cfg.Prefilter, det.Meta, &sh.buffer, sh.cfg.Workers)
-			}(i, sh)
-		}
-		wg.Wait()
-		n := 0
-		for _, part := range parts {
-			n += len(part)
-		}
-		// Keep the no-match case nil, as the sequential Filter returns it.
-		var suspicious []flow.Record
-		if n > 0 {
-			suspicious = make([]flow.Record, 0, n)
-			for _, part := range parts {
-				suspicious = append(suspicious, part...)
-			}
-		}
-		if err := finishExtract(primary.cfg, rep, suspicious); err != nil {
-			return nil, err
-		}
-	}
-	for _, sh := range group {
-		sh.buffer.Reset()
-	}
 	return rep, nil
+}
+
+// resetClones empties every histogram of a bank's clone sets, keeping
+// their value-table arenas for the next interval.
+func resetClones(sets [][]*histogram.Histogram) {
+	for _, set := range sets {
+		for _, h := range set {
+			h.Reset()
+		}
+	}
+}
+
+// prefilterGroup selects the suspicious flows of every member's buffer —
+// one goroutine per non-empty buffer, each fanning further out over its
+// pipeline's Workers — and concatenates them in group order: the flows
+// one scan of the merged buffer would select, in the same order.
+func prefilterGroup(group []*Pipeline, states []intervalState, meta detector.MetaData) []flow.Record {
+	parts := make([][]flow.Record, len(states))
+	var wg sync.WaitGroup
+	for i := range states {
+		if states[i].buffer.Len() == 0 {
+			continue
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			cfg := group[i].cfg
+			parts[i] = prefilter.FilterBufferParallel(cfg.Prefilter, meta, states[i].buffer, cfg.Workers)
+		}(i)
+	}
+	wg.Wait()
+	if len(parts) == 1 {
+		return parts[0]
+	}
+	n := 0
+	for _, part := range parts {
+		n += len(part)
+	}
+	// Keep the no-match case nil, as the sequential Filter returns it.
+	if n == 0 {
+		return nil
+	}
+	suspicious := make([]flow.Record, 0, n)
+	for _, part := range parts {
+		suspicious = append(suspicious, part...)
+	}
+	return suspicious
 }

@@ -1,36 +1,36 @@
 package core
 
 import (
-	"fmt"
-	"sync"
-
 	"anomalyx/internal/flow"
 	"anomalyx/internal/histogram"
-	"anomalyx/internal/prefilter"
 )
 
-// intervalState is one pipeline's drained open interval: the detector
-// bank's clone histograms and the columnar flow buffer, in the reusable
-// containers they travel in. After a finish the histograms are reset
-// (their value-table arenas intact) and the buffer's columns keep their
-// capacity, so the state cycles through the pipeline's freelist and
-// steady-state closes allocate no new buffer or arena memory.
+// intervalState is one pipeline's share of an interval being closed:
+// the detector bank's clone histograms and the columnar flow buffer.
+// The synchronous close passes the pipeline's live state; the pipelined
+// close passes state drained into reusable containers. After a close
+// the histograms are reset (their value-table arenas intact) and the
+// buffer's columns keep their capacity, so drained state cycles through
+// the pipeline's freelist and steady-state closes allocate no new
+// buffer or arena memory.
 type intervalState struct {
 	clones [][]*histogram.Histogram
-	buffer flow.Buffer
+	buffer *flow.Buffer
 }
 
-// popSpare takes a recycled interval state off p's freelist, if any.
-func (p *Pipeline) popSpare() (intervalState, bool) {
+// popSpare takes a recycled interval state off p's freelist, or a
+// fresh one (clone sets nil, for SwapInterval to allocate) when it is
+// empty.
+func (p *Pipeline) popSpare() intervalState {
 	p.spareMu.Lock()
 	defer p.spareMu.Unlock()
 	if n := len(p.spares); n > 0 {
 		st := p.spares[n-1]
 		p.spares[n-1] = intervalState{}
 		p.spares = p.spares[:n-1]
-		return st, true
+		return st
 	}
-	return intervalState{}, false
+	return intervalState{buffer: new(flow.Buffer)}
 }
 
 // pushSpare returns a reset interval state to p's freelist.
@@ -69,26 +69,19 @@ func (p *Pipeline) BeginClose() (*PendingClose, error) {
 // BeginIntervalGroup drains one measurement interval in lockstep across
 // a group of shard pipelines — the pipelined counterpart of
 // EndIntervalGroup. Every shard's clone histograms and flow buffer are
-// swapped for reset recycled ones under the shard's lock; the expensive
-// merge + detection + extraction runs later in Finish. Every pipeline
-// must share the detector configuration, and the pipelines must not
-// observe flows concurrently with the drain of the same boundary (the
-// shard package serializes this).
+// swapped for reset recycled ones under the shard's lock; Finish runs
+// the close later. Every pipeline must share the detector
+// configuration, and the pipelines must not observe flows concurrently
+// with the drain of the same boundary (the shard package serializes
+// this).
 func BeginIntervalGroup(group []*Pipeline) (*PendingClose, error) {
-	if len(group) == 0 {
-		return nil, fmt.Errorf("core: empty pipeline group")
-	}
-	for i := range group {
-		for j := i + 1; j < len(group); j++ {
-			if group[i] == group[j] {
-				return nil, fmt.Errorf("core: duplicate pipeline in group")
-			}
-		}
+	if err := checkGroup(group); err != nil {
+		return nil, err
 	}
 	pc := &PendingClose{group: group, states: make([]intervalState, len(group))}
 	for i, p := range group {
 		p.mu.Lock()
-		st, _ := p.popSpare()
+		st := p.popSpare()
 		st.clones = p.bank.SwapInterval(st.clones)
 		st.buffer, p.buffer = p.buffer, st.buffer
 		pc.states[i] = st
@@ -97,87 +90,20 @@ func BeginIntervalGroup(group []*Pipeline) (*PendingClose, error) {
 	return pc, nil
 }
 
-// Finish completes a drained interval close: merges the shards' drained
-// clone histograms into the primary's in shard order (exact mergeable
-// sketches), closes detection over the merged state against the primary
-// bank's history, and on an alarm prefilters each shard's drained buffer
-// concurrently with the per-shard suspicious sets concatenated in shard
-// order — step for step the math of EndInterval / EndIntervalGroup, so
-// the report is byte-identical to the synchronous close. The drained
-// containers are reset and recycled onto their pipelines' freelists
-// before returning.
+// Finish completes a drained interval close: closeInterval over the
+// drained state — the same merge, detection and extraction as the
+// synchronous close, so the report is byte-identical to it — then
+// recycles the reset containers onto their pipelines' freelists.
 //
 // Finish never touches the pipelines' live state (buffers, current
 // histograms), so it may run concurrently with observes; it does touch
 // the primary bank's detection history, so Finish calls for successive
 // closes must be serialized in begin order.
 func (pc *PendingClose) Finish() (*Report, error) {
-	primary := pc.group[0]
-	merged := pc.states[0].clones
-	if len(pc.states) > 1 {
-		siblings := make([][][]*histogram.Histogram, len(pc.states)-1)
-		for si := 1; si < len(pc.states); si++ {
-			siblings[si-1] = pc.states[si].clones
-		}
-		// Parallel fold, one task per detector — byte-identical to the
-		// serial sibling merge (see Bank.MergeDrained).
-		primary.bank.MergeDrained(merged, siblings)
-	}
-	det := primary.bank.FinishInterval(merged)
-	total := 0
+	rep, err := closeInterval(pc.group, pc.states)
 	for i := range pc.states {
-		total += pc.states[i].buffer.Len()
+		pc.group[i].pushSpare(pc.states[i])
+		pc.states[i] = intervalState{}
 	}
-	rep := &Report{
-		Interval:   det.Interval,
-		Detection:  det,
-		Alarm:      det.Alarm,
-		TotalFlows: total,
-	}
-	if det.Alarm && det.Meta.Count() > 0 {
-		parts := make([][]flow.Record, len(pc.states))
-		var wg sync.WaitGroup
-		for i := range pc.states {
-			if pc.states[i].buffer.Len() == 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(i int, sh *Pipeline) {
-				defer wg.Done()
-				parts[i] = prefilter.FilterBufferParallel(sh.cfg.Prefilter, det.Meta, &pc.states[i].buffer, sh.cfg.Workers)
-			}(i, pc.group[i])
-		}
-		wg.Wait()
-		n := 0
-		for _, part := range parts {
-			n += len(part)
-		}
-		// Keep the no-match case nil, as the sequential Filter returns it.
-		var suspicious []flow.Record
-		if n > 0 {
-			suspicious = make([]flow.Record, 0, n)
-			for _, part := range parts {
-				suspicious = append(suspicious, part...)
-			}
-		}
-		if err := finishExtract(primary.cfg, rep, suspicious); err != nil {
-			return nil, err
-		}
-	}
-	for i := range pc.states {
-		st := &pc.states[i]
-		if i > 0 {
-			// The primary's histograms were reset by the bank's rotate;
-			// the siblings' still hold the counts Merge read.
-			for _, set := range st.clones {
-				for _, h := range set {
-					h.Reset()
-				}
-			}
-		}
-		st.buffer.Reset()
-		pc.group[i].pushSpare(*st)
-		*st = intervalState{}
-	}
-	return rep, nil
+	return rep, err
 }

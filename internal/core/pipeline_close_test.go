@@ -5,12 +5,13 @@ import (
 	"testing"
 
 	"anomalyx/internal/flow"
+	"anomalyx/internal/histogram"
 	"anomalyx/internal/stats"
 )
 
-// closeInterval produces one interval's flows: n benign plus nAnom flood
+// intervalFlows produces one interval's flows: n benign plus nAnom flood
 // flows toward one victim (the same mix synthInterval feeds).
-func closeInterval(r *stats.Rand, n, nAnom int) []flow.Record {
+func intervalFlows(r *stats.Rand, n, nAnom int) []flow.Record {
 	recs := make([]flow.Record, 0, n+nAnom)
 	for i := 0; i < nAnom; i++ {
 		recs = append(recs, flow.Record{
@@ -49,8 +50,8 @@ func TestBeginFinishMatchesEndInterval(t *testing.T) {
 		if i == 10 {
 			nAnom = 1500
 		}
-		sync.ObserveBatch(closeInterval(rs, 3000, nAnom))
-		piped.ObserveBatch(closeInterval(rp, 3000, nAnom))
+		sync.ObserveBatch(intervalFlows(rs, 3000, nAnom))
+		piped.ObserveBatch(intervalFlows(rp, 3000, nAnom))
 		want, err := sync.EndInterval()
 		if err != nil {
 			t.Fatal(err)
@@ -92,7 +93,7 @@ func TestBeginFinishMatchesEndIntervalGroup(t *testing.T) {
 	gSync, gPiped := newGroup(), newGroup()
 	rs, rp := stats.NewRand(21), stats.NewRand(21)
 	feed := func(group []*Pipeline, r *stats.Rand, nAnom int) {
-		recs := closeInterval(r, 3000, nAnom)
+		recs := intervalFlows(r, 3000, nAnom)
 		for i, rec := range recs {
 			group[i%shards].Observe(rec)
 		}
@@ -140,6 +141,66 @@ func TestBeginIntervalGroupValidation(t *testing.T) {
 	if _, err := BeginIntervalGroup([]*Pipeline{p, p}); err == nil {
 		t.Error("duplicate pipeline accepted")
 	}
+	cfg := testConfig()
+	cfg.Detector.Bins *= 2
+	q, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := BeginIntervalGroup([]*Pipeline{p, q}); err == nil {
+		t.Error("group across detector configurations accepted")
+	}
+}
+
+// TestSyncCloseKeepsOneIntervalState pins the synchronous close's
+// memory shape: EndInterval and EndIntervalGroup close over the live
+// state in place, so however many intervals close, each detector keeps
+// the one clone set New built and the pipelined freelist stays empty.
+// A synchronous close routed through BeginClose+Finish would double the
+// resident interval state (a second clone set per detector plus a
+// second flow buffer, cycling through the freelist).
+func TestSyncCloseKeepsOneIntervalState(t *testing.T) {
+	group := make([]*Pipeline, 2)
+	for i := range group {
+		p, err := New(testConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		group[i] = p
+	}
+	p := group[0]
+	live := func(p *Pipeline) []*histogram.Histogram {
+		var hs []*histogram.Histogram
+		for _, set := range p.bank.LiveInterval() {
+			hs = append(hs, set...)
+		}
+		return hs
+	}
+	want := [][]*histogram.Histogram{live(group[0]), live(group[1])}
+	r := stats.NewRand(3)
+	for i := 0; i < 6; i++ {
+		recs := intervalFlows(r, 2000, 0)
+		p.ObserveBatch(recs)
+		if _, err := p.EndInterval(); err != nil {
+			t.Fatal(err)
+		}
+		group[0].ObserveBatch(recs[:1000])
+		group[1].ObserveBatch(recs[1000:])
+		if _, err := EndIntervalGroup(group); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, q := range group {
+		if n := len(q.spares); n != 0 {
+			t.Errorf("pipeline %d: freelist holds %d interval states after synchronous closes, want 0", i, n)
+		}
+		for j, h := range live(q) {
+			if h != want[i][j] {
+				t.Fatalf("pipeline %d: clone histogram %d replaced by a synchronous close; want the one New built", i, j)
+			}
+		}
+	}
 }
 
 // TestPendingCloseRecyclesState proves the freelist claim: from the
@@ -155,7 +216,7 @@ func TestPendingCloseRecyclesState(t *testing.T) {
 	r := stats.NewRand(5)
 	sets := make(map[any]int)
 	cycle := func() {
-		p.ObserveBatch(closeInterval(r, 500, 0))
+		p.ObserveBatch(intervalFlows(r, 500, 0))
 		pc, err := p.BeginClose()
 		if err != nil {
 			t.Fatal(err)
@@ -195,7 +256,7 @@ func BenchmarkPipelinedClose(b *testing.B) {
 		}
 		defer p.Close()
 		r := stats.NewRand(7)
-		recs := closeInterval(r, 5000, 0)
+		recs := intervalFlows(r, 5000, 0)
 		// Warm both halves of the double buffer: the first close allocates
 		// the replacement set, the second grows its buffer columns; from
 		// then on every close recycles.

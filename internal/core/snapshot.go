@@ -25,10 +25,9 @@ type PipelineSnapshot struct {
 // buffer — and nothing else. It is PipelineSnapshot minus the detection
 // history, which on the distributed agent path is dead weight: an agent
 // never closes detection, so its reference counts, KL series, and
-// threshold samples are permanently zero, and DrainSnapshot deep-copied
-// them every interval anyway. The collector absorbs an OpenInterval
-// additively (AbsorbOpenInterval), so the drain/ship/absorb cycle never
-// touches history on either side.
+// threshold samples are permanently zero. The collector absorbs an
+// OpenInterval additively (AbsorbOpenInterval), so the
+// drain/ship/absorb cycle never touches history on either side.
 type OpenInterval struct {
 	Clones [][]histogram.Snapshot
 	Buffer flow.Buffer
@@ -60,49 +59,65 @@ func (p *Pipeline) RestoreSnapshot(s PipelineSnapshot) error {
 	return nil
 }
 
-// DrainSnapshot captures the pipeline's state and then clears the open
-// interval — clone histograms reset, flow buffer emptied — leaving the
-// pipeline ready to accumulate the next interval without having closed
-// detection. Prefer DrainOpenInterval on the distributed agent path: it
-// moves the same information without copying the detection history a
-// drain never touches. DrainSnapshot remains for callers that need the
-// full restorable state (session replay, tests).
-func (p *Pipeline) DrainSnapshot() PipelineSnapshot {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	s := PipelineSnapshot{
-		Bank:   p.bank.Snapshot(),
-		Buffer: p.buffer.Clone(),
-	}
-	p.bank.ResetInterval()
-	p.buffer.Reset()
-	return s
-}
-
 // DrainOpenInterval captures the open interval — clone-histogram
 // snapshots and the flow buffer — and clears it, leaving detection
 // history untouched and uncopied. This is the distributed agent step:
 // the agent drains at each interval boundary and ships the result to
 // the collector, which folds it into the primary pipeline with
 // AbsorbOpenInterval. The result shares no memory with the pipeline.
+// It is the one-pipeline case of DrainOpenIntervalGroup.
 func (p *Pipeline) DrainOpenInterval() OpenInterval {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	oi := OpenInterval{
-		Clones: p.bank.DrainInterval(),
-		Buffer: p.buffer.Clone(),
-	}
-	p.buffer.Reset()
+	oi, _ := DrainOpenIntervalGroup(p.selfGroup) // a one-pipeline group always validates
 	return oi
+}
+
+// DrainOpenIntervalGroup drains one open interval in lockstep across a
+// group of shard pipelines: the siblings' clone sets merge into the
+// primary's (Bank.MergeDrained, as in the interval close) and the
+// merged sets are drained, and the flow buffers concatenate in group
+// order. Every member is left empty, ready for the next interval; no
+// detection runs. This is the agent's close when it runs a locally
+// sharded pipeline: the collector receives one open interval equal to
+// an unsharded pipeline's over the same flows, up to the buffer's
+// row order. Every pipeline must share the detector configuration.
+func DrainOpenIntervalGroup(group []*Pipeline) (OpenInterval, error) {
+	if err := checkGroup(group); err != nil {
+		return OpenInterval{}, err
+	}
+	for _, p := range group {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+	}
+	primary := group[0]
+	if len(group) > 1 {
+		siblings := make([][][]*histogram.Histogram, len(group)-1)
+		for i, p := range group[1:] {
+			siblings[i] = p.bank.LiveInterval()
+		}
+		primary.bank.MergeDrained(primary.bank.LiveInterval(), siblings)
+		for _, sets := range siblings {
+			resetClones(sets)
+		}
+	}
+	oi := OpenInterval{Clones: primary.bank.DrainInterval()}
+	n := 0
+	for _, p := range group {
+		n += p.buffer.Len()
+	}
+	oi.Buffer.Grow(n)
+	for _, p := range group {
+		oi.Buffer.AppendBuffer(p.buffer)
+		p.buffer.Reset()
+	}
+	return oi, nil
 }
 
 // AbsorbOpenInterval folds a drained open interval into p additively:
 // clone snapshots merge into the bank's open histograms (the
 // mergeable-sketch invariant — identical to having observed the flows
 // directly) and the buffered flows append to p's buffer. It is the
-// collector-side counterpart of DrainOpenInterval, replacing the former
-// restore-into-scratch-then-Absorb round trip. Both sides must share
-// the detector configuration and seed.
+// collector-side counterpart of DrainOpenInterval. Both sides must
+// share the detector configuration and seed.
 func (p *Pipeline) AbsorbOpenInterval(oi OpenInterval) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()

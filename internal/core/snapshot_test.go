@@ -92,56 +92,53 @@ func TestPipelineSnapshotRestore(t *testing.T) {
 	}
 }
 
-// TestPipelineDrainSnapshot: draining captures bank state and buffer,
-// then leaves the pipeline empty for the next interval — and an
-// absorb-after-restore of the drained state reproduces a direct run.
-func TestPipelineDrainSnapshot(t *testing.T) {
-	direct, err := New(snapConfig())
-	if err != nil {
-		t.Fatal(err)
+// TestDrainOpenIntervalGroup: draining a group of pipelines that
+// partition one stream yields a single open interval — sibling clones
+// merged into the primary's, buffers concatenated — whose additive
+// absorb reproduces a direct run, interval after interval, with every
+// member left empty.
+func TestDrainOpenIntervalGroup(t *testing.T) {
+	mk := func() *Pipeline {
+		p, err := New(snapConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(p.Close)
+		return p
 	}
-	defer direct.Close()
-	agent, err := New(snapConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer agent.Close()
-	primary, err := New(snapConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer primary.Close()
-	scratch, err := New(snapConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer scratch.Close()
+	direct, primary := mk(), mk()
+	group := []*Pipeline{mk(), mk(), mk()}
 
 	for i := 0; i < 7; i++ {
 		recs := snapRecords(i, 900, i == 5)
 		direct.ObserveBatch(recs)
-		agent.ObserveBatch(recs)
-
-		snap := agent.DrainSnapshot()
-		if snap.Buffer.Len() != len(recs) {
-			t.Fatalf("interval %d: drained %d records, want %d", i, snap.Buffer.Len(), len(recs))
+		for j, rec := range recs {
+			group[j%len(group)].Observe(rec)
 		}
-		// The drained pipeline is empty: an immediate re-drain carries
-		// nothing.
-		if rd := agent.DrainSnapshot(); rd.Buffer.Len() != 0 {
+
+		oi, err := DrainOpenIntervalGroup(group)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if oi.Buffer.Len() != len(recs) {
+			t.Fatalf("interval %d: drained %d records, want %d", i, oi.Buffer.Len(), len(recs))
+		}
+		// Every member is empty: an immediate re-drain carries nothing.
+		rd, err := DrainOpenIntervalGroup(group)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rd.Buffer.Len() != 0 {
 			t.Fatalf("interval %d: re-drain still holds %d records", i, rd.Buffer.Len())
 		}
-		for _, ds := range snap.Bank.Detectors {
-			for _, hs := range ds.Clones {
-				if hs.Total == 0 {
-					t.Fatalf("interval %d: drained snapshot has empty clone", i)
+		for _, clones := range rd.Clones {
+			for _, hs := range clones {
+				if hs.Total != 0 {
+					t.Fatalf("interval %d: re-drain still holds %d observations", i, hs.Total)
 				}
 			}
 		}
-		if err := scratch.RestoreSnapshot(snap); err != nil {
-			t.Fatal(err)
-		}
-		if err := primary.Absorb(scratch); err != nil {
+		if err := primary.AbsorbOpenInterval(oi); err != nil {
 			t.Fatal(err)
 		}
 		want, err := direct.EndInterval()
@@ -153,9 +150,12 @@ func TestPipelineDrainSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("interval %d: absorb-of-drain diverged from direct run:\n got %+v\nwant %+v",
+			t.Fatalf("interval %d: absorb-of-group-drain diverged from direct run:\n got %+v\nwant %+v",
 				i, got, want)
 		}
+	}
+	if _, err := DrainOpenIntervalGroup([]*Pipeline{group[0], group[0]}); err == nil {
+		t.Error("duplicate pipeline in drain group accepted")
 	}
 }
 

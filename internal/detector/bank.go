@@ -1,7 +1,6 @@
 package detector
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 
@@ -178,17 +177,32 @@ func (b *Bank) ObserveBatch(recs []flow.Record) {
 }
 
 // EndInterval closes the interval on every detector and merges their
-// meta-data (union across detectors, §II-A). The per-detector interval
-// close runs on the worker pool; results are merged in feature order, so
-// the report is identical to the sequential path.
+// meta-data (union across detectors, §II-A): FinishInterval over the
+// live clone sets, under the bank mutex so no observe interleaves.
 func (b *Bank) EndInterval() BankResult {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	results := make([]Result, len(b.detectors))
-	b.runTasks(len(b.detectors), func(i int) func() {
-		return func() { results[i] = b.detectors[i].EndInterval() }
-	})
-	return mergeResults(results)
+	return b.FinishInterval(b.live())
+}
+
+// LiveInterval returns every detector's current-interval clone set,
+// index-aligned with Detectors() — the live counterpart of the sets
+// SwapInterval drains. The sets stay owned by the bank: the caller must
+// keep observes off the bank while it uses them (core holds the
+// pipeline lock across its synchronous close).
+func (b *Bank) LiveInterval() [][]*histogram.Histogram {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.live()
+}
+
+// live collects the current-interval clone sets. b.mu must be held.
+func (b *Bank) live() [][]*histogram.Histogram {
+	sets := make([][]*histogram.Histogram, len(b.detectors))
+	for i, d := range b.detectors {
+		sets[i] = d.cur
+	}
+	return sets
 }
 
 // mergeResults consolidates per-detector interval results in feature
@@ -228,11 +242,11 @@ func (b *Bank) SwapInterval(repl [][]*histogram.Histogram) [][]*histogram.Histog
 	return repl
 }
 
-// FinishInterval closes the interval whose clone sets were drained by
-// SwapInterval. It deliberately does NOT take the bank mutex: cur is
-// private to the caller and each detector's interval history is touched
-// only by finish calls, so detection here may overlap ObserveBatch on
-// the swapped-in sets. The caller must serialize FinishInterval calls in
+// FinishInterval closes the interval whose clone sets are cur — drained
+// by SwapInterval, or the live sets of LiveInterval. It deliberately
+// does NOT take the bank mutex: drained sets are private to the caller
+// and each detector's interval history is touched only by finish calls,
+// so detection here may overlap ObserveBatch on the swapped-in sets. The caller must serialize FinishInterval calls in
 // swap order — the KL scheme compares each interval against the previous
 // one. cur's histograms are reset in place for recycling.
 func (b *Bank) FinishInterval(cur [][]*histogram.Histogram) BankResult {
@@ -243,55 +257,15 @@ func (b *Bank) FinishInterval(cur [][]*histogram.Histogram) BankResult {
 	return mergeResults(results)
 }
 
-// AbsorbGroup folds every sibling bank's in-progress interval into b in
-// sibling order, fanning one task per detector across the worker pool —
-// detector columns are independent, so the parallel merge is
-// byte-identical to absorbing each sibling sequentially. This is the
-// cross-shard merge of the interval close; serializing it on the
-// closing goroutine was the scaling bottleneck the multi-core curves
-// exposed (every added shard lengthened the serial section by a full
-// clones × bins fold).
-func (b *Bank) AbsorbGroup(others []*Bank) error {
-	// Lock in caller order: the fold goes toward a single primary bank
-	// (shard merges), so no cycle can form.
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for _, o := range others {
-		if o == b {
-			return fmt.Errorf("detector: bank cannot absorb itself")
-		}
-		o.mu.Lock()
-		defer o.mu.Unlock()
-		if len(b.detectors) != len(o.detectors) {
-			return fmt.Errorf("detector: absorb across banks with %d and %d detectors",
-				len(b.detectors), len(o.detectors))
-		}
-	}
-	errs := make([]error, len(b.detectors))
-	b.runTasks(len(b.detectors), func(i int) func() {
-		return func() {
-			for _, o := range others {
-				if err := b.detectors[i].Absorb(o.detectors[i]); err != nil {
-					errs[i] = err
-					return
-				}
-			}
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// MergeDrained folds sibling drained clone sets into dst in sibling
-// order, one task per detector on the worker pool — AbsorbGroup's
-// counterpart for the pipelined close, operating on sets returned by
-// SwapInterval instead of live banks. Like FinishInterval it takes no
-// bank mutex: every set involved is private to the caller. The sibling
-// histograms keep their counts; the caller resets them when recycling.
+// MergeDrained folds sibling clone sets into dst in sibling order, one
+// task per detector on the worker pool — the cross-shard merge of the
+// interval close. Detector columns are independent, so the parallel
+// fold is byte-identical to merging each sibling in turn, and equal-seed
+// clones are exact mergeable sketches, so the merged sets equal one
+// bank having observed every sibling's flows. Like FinishInterval it
+// takes no bank mutex: the sets are drained (SwapInterval) or live sets
+// of pipelines the caller has locked. The sibling histograms keep their
+// counts; the caller resets them.
 func (b *Bank) MergeDrained(dst [][]*histogram.Histogram, siblings [][][]*histogram.Histogram) {
 	b.runTasks(len(dst), func(i int) func() {
 		return func() {
@@ -302,33 +276,4 @@ func (b *Bank) MergeDrained(dst [][]*histogram.Histogram, siblings [][][]*histog
 			}
 		}
 	})
-}
-
-// Absorb folds other's in-progress interval into b — each detector
-// absorbs its counterpart's clone histograms — and resets other's
-// current interval (see Detector.Absorb). Both banks must monitor the
-// same features with the same detector parameters. It is the cross-shard
-// merge step: shard banks accumulate partitions of the stream, the
-// primary bank absorbs them at the interval boundary and runs detection
-// over the union, yielding exactly the unsharded detector state.
-func (b *Bank) Absorb(other *Bank) error {
-	if other == b {
-		return fmt.Errorf("detector: bank cannot absorb itself")
-	}
-	// Lock in caller order: Absorb is only ever fanned in toward a single
-	// primary bank (shard merges), so no cycle can form.
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	other.mu.Lock()
-	defer other.mu.Unlock()
-	if len(b.detectors) != len(other.detectors) {
-		return fmt.Errorf("detector: absorb across banks with %d and %d detectors",
-			len(b.detectors), len(other.detectors))
-	}
-	for i, d := range b.detectors {
-		if err := d.Absorb(other.detectors[i]); err != nil {
-			return err
-		}
-	}
-	return nil
 }

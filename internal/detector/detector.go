@@ -216,37 +216,6 @@ func (d *Detector) observeClone(c int, recs []flow.Record) {
 	}
 }
 
-// Absorb folds other's in-progress interval into d and resets other's
-// current-interval histograms, leaving other ready to accumulate the
-// next interval. Only the open interval moves: other's interval history
-// (previous-interval reference, KL series, threshold samples) is neither
-// consulted nor modified, which is exactly the shard pattern — N
-// detectors accumulate partitions of the stream in parallel, one primary
-// detector absorbs the clones' histograms at the interval boundary and
-// owns the detection state. Both detectors must share Feature, Bins,
-// Clones and Seed (equal hash functions); Absorb returns an error
-// otherwise.
-func (d *Detector) Absorb(other *Detector) error {
-	if other == d {
-		return fmt.Errorf("detector: cannot absorb self")
-	}
-	if d.cfg.Feature != other.cfg.Feature {
-		return fmt.Errorf("detector: absorb across features %v and %v", d.cfg.Feature, other.cfg.Feature)
-	}
-	if len(d.cur) != len(other.cur) {
-		return fmt.Errorf("detector: absorb across clone counts %d and %d", len(d.cur), len(other.cur))
-	}
-	if d.cfg.Bins != other.cfg.Bins || d.cfg.Seed != other.cfg.Seed {
-		return fmt.Errorf("detector: absorb across bins/seed (%d,%d) and (%d,%d)",
-			d.cfg.Bins, d.cfg.Seed, other.cfg.Bins, other.cfg.Seed)
-	}
-	for c := range d.cur {
-		d.cur[c].Merge(other.cur[c])
-		other.cur[c].Reset()
-	}
-	return nil
-}
-
 // Threshold returns the current alarm threshold (alpha * robust sigma of
 // the pooled first-difference history) and whether enough history exists.
 // The history pools one sample per clone per interval, so training

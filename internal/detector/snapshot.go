@@ -92,18 +92,6 @@ func (d *Detector) RestoreSnapshot(s Snapshot) error {
 	return nil
 }
 
-// ResetInterval discards the open interval's observations — every clone
-// histogram resets — without touching the detection history (reference
-// counts, KL series, threshold samples) or the interval counter. It is
-// the post-drain step of the distributed agent path: an agent snapshots
-// its open interval, ships it to the collector, and resets to accumulate
-// the next interval while the collector owns detection.
-func (d *Detector) ResetInterval() {
-	for _, h := range d.cur {
-		h.Reset()
-	}
-}
-
 // DrainInterval snapshots the open interval's clone histograms and
 // resets them, without touching — or copying — the detection history.
 // It is Snapshot restricted to the fields an interval drain actually
@@ -120,9 +108,8 @@ func (d *Detector) DrainInterval() []histogram.Snapshot {
 }
 
 // AbsorbClones folds drained clone-histogram snapshots into the open
-// interval additively — Absorb with the sibling's state in snapshot
-// form, so a collector can merge a shipped interval without restoring
-// it into a scratch detector first. clones must be in clone order and
+// interval additively, so a collector merges a shipped interval
+// straight into its detector. clones must be in clone order and
 // match the detector's clone count; the usual mergeable-sketch caveat
 // applies (both sides built from the same Config and Seed).
 func (d *Detector) AbsorbClones(clones []histogram.Snapshot) error {
@@ -176,8 +163,7 @@ func (b *Bank) RestoreSnapshot(s BankSnapshot) error {
 
 // DrainInterval snapshots and resets every detector's open interval in
 // feature order (see Detector.DrainInterval), leaving detection history
-// untouched and uncopied — the agent-path replacement for Snapshot +
-// ResetInterval.
+// untouched and uncopied.
 func (b *Bank) DrainInterval() [][]histogram.Snapshot {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -204,14 +190,4 @@ func (b *Bank) AbsorbInterval(clones [][]histogram.Snapshot) error {
 		}
 	}
 	return nil
-}
-
-// ResetInterval discards every detector's open interval (see
-// Detector.ResetInterval); detection history is untouched.
-func (b *Bank) ResetInterval() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for _, d := range b.detectors {
-		d.ResetInterval()
-	}
 }

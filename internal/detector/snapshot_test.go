@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"anomalyx/internal/flow"
+	"anomalyx/internal/histogram"
 )
 
 // snapTestRecords deterministically synthesizes one interval's records:
@@ -108,10 +109,10 @@ func TestDetectorSnapshotRejectsShape(t *testing.T) {
 	}
 }
 
-// TestResetIntervalKeepsHistory: ResetInterval clears only the open
+// TestDrainIntervalKeepsHistory: DrainInterval moves out only the open
 // interval — the detection history (and therefore subsequent
-// thresholds) is untouched, while the cleared observations are gone.
-func TestResetIntervalKeepsHistory(t *testing.T) {
+// thresholds) is untouched, while the drained observations are gone.
+func TestDrainIntervalKeepsHistory(t *testing.T) {
 	cfg := Config{Feature: flow.DstPort, Bins: 64, TrainIntervals: 3, Seed: 5}
 	a, err := New(cfg)
 	if err != nil {
@@ -128,16 +129,21 @@ func TestResetIntervalKeepsHistory(t *testing.T) {
 		a.EndInterval()
 		b.EndInterval()
 	}
-	// b additionally accumulates garbage that ResetInterval must wipe.
+	// b additionally accumulates an interval that DrainInterval must
+	// move out whole.
 	b.ObserveBatch(snapTestRecords(99, 400, true))
-	b.ResetInterval()
+	for c, hs := range b.DrainInterval() {
+		if hs.Total != 400 {
+			t.Fatalf("clone %d drained %d observations, want 400", c, hs.Total)
+		}
+	}
 	recs := snapTestRecords(5, 600, false)
 	a.ObserveBatch(recs)
 	b.ObserveBatch(recs)
 	want := fmt.Sprintf("%+v", a.EndInterval())
 	got := fmt.Sprintf("%+v", b.EndInterval())
 	if got != want {
-		t.Fatalf("ResetInterval leaked state:\n got %s\nwant %s", got, want)
+		t.Fatalf("DrainInterval leaked state:\n got %s\nwant %s", got, want)
 	}
 }
 
@@ -194,17 +200,57 @@ func TestBankSnapshotRoundTrip(t *testing.T) {
 		t.Error("restore across feature counts accepted")
 	}
 
-	// Bank-level ResetInterval wipes the open interval of every
-	// detector (history stays — see TestResetIntervalKeepsHistory): the
+	// Bank-level DrainInterval empties the open interval of every
+	// detector (history stays — see TestDrainIntervalKeepsHistory): the
 	// re-snapshot shows empty clone histograms.
 	restored.ObserveBatch(snapTestRecords(50, 300, true))
-	restored.ResetInterval()
+	restored.DrainInterval()
 	for di, ds := range restored.Snapshot().Detectors {
 		for ci, hs := range ds.Clones {
 			if hs.Total != 0 {
-				t.Fatalf("detector %d clone %d still holds %d observations after ResetInterval",
+				t.Fatalf("detector %d clone %d still holds %d observations after DrainInterval",
 					di, ci, hs.Total)
 			}
 		}
+	}
+}
+
+// TestBankMergeDrainedIsUnion pins the mergeable-sketch property the
+// shard merge relies on: merging a sibling bank's clone sets into a
+// bank's live sets leaves exactly the state of one bank that observed
+// both partitions, interval after interval, through an alarm.
+func TestBankMergeDrainedIsUnion(t *testing.T) {
+	mk := func() *Bank {
+		b, err := NewBank(snapTestBankConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(b.Close)
+		return b
+	}
+	whole, primary, sibling := mk(), mk(), mk()
+	alarmed := false
+	for i := 0; i < 8; i++ {
+		recs := snapTestRecords(i, 700, i == 6)
+		whole.ObserveBatch(recs)
+		primary.ObserveBatch(recs[:len(recs)/3])
+		sibling.ObserveBatch(recs[len(recs)/3:])
+		sib := sibling.LiveInterval()
+		primary.MergeDrained(primary.LiveInterval(), [][][]*histogram.Histogram{sib})
+		for _, set := range sib {
+			for _, h := range set {
+				h.Reset()
+			}
+		}
+		res := whole.EndInterval()
+		alarmed = alarmed || res.Alarm
+		want := fmt.Sprintf("%+v", res)
+		got := fmt.Sprintf("%+v", primary.EndInterval())
+		if got != want {
+			t.Fatalf("interval %d: merged bank diverged:\n got %s\nwant %s", i, got, want)
+		}
+	}
+	if !alarmed {
+		t.Error("no alarm; voted meta-data not compared")
 	}
 }

@@ -422,138 +422,33 @@ func (e *Engine) run() {
 // batches, forwards pre-formed batches as-is, and closes an interval at
 // every cut marker; it returns the first pipeline error. Cut messages
 // carry the grid end of the first interval they close, so a BoundarySink
-// receives the absolute boundary of every closed interval.
+// receives the absolute boundary of every closed interval. How a cut
+// closes is chosen once, up front: inline at PipelineDepth 1, or via the
+// close worker of startCloseWorker at depth > 1.
 func (e *Engine) process() error {
-	if ps, ok := e.sink.(PipelinedSink); ok && e.cfg.PipelineDepth > 1 {
-		return e.processPipelined(ps)
-	}
 	batch := make([]flow.Record, 0, e.cfg.BatchSize)
-	bs, _ := e.sink.(BoundarySink)
 	step := e.cfg.IntervalLen.Milliseconds()
-
 	flushBatch := func() {
 		e.sink.ObserveBatch(batch)
 		batch = batch[:0]
 	}
-	endInterval := func(boundary int64) error {
+
+	closeAt := e.closeInline
+	var failed <-chan struct{} // nil (never ready) without a close worker
+	join := func() error { return nil }
+	if ps, ok := e.sink.(PipelinedSink); ok && e.cfg.PipelineDepth > 1 {
+		closeAt, failed, join = e.startCloseWorker(ps)
+	}
+	// closeNext flushes the pending records into the closing interval and
+	// closes it; on a close error the worker's earlier error, if any,
+	// takes precedence.
+	closeNext := func(boundary int64) error {
 		flushBatch()
-		var rep *core.Report
-		var err error
-		if bs != nil {
-			rep, err = bs.EndIntervalAt(boundary)
-		} else {
-			rep, err = e.sink.EndInterval()
-		}
-		if err != nil {
-			// Attribute the failure to its grid boundary: a distributed
-			// sink error ("collector unreachable") is actionable only
-			// with the interval it lost.
-			return fmt.Errorf("engine: closing interval at boundary %d: %w", boundary, err)
-		}
-		e.out <- rep
-		return nil
-	}
-
-	for m := range e.in {
-		switch {
-		case m.cuts > 0:
-			for i := 0; i < m.cuts; i++ {
-				if err := endInterval(m.boundary + int64(i)*step); err != nil {
-					return err
-				}
+		if err := closeAt(boundary); err != nil {
+			if werr := join(); werr != nil {
+				return werr
 			}
-		case m.recs != nil:
-			// Pre-formed batch: flush pending singles first to preserve
-			// submission order, then observe it whole.
-			flushBatch()
-			e.sink.ObserveBatch(m.recs)
-		default:
-			batch = append(batch, m.rec)
-			if len(batch) >= e.cfg.BatchSize {
-				flushBatch()
-			}
-		}
-	}
-	// Final flush: close the in-progress interval. Its boundary is the
-	// submit side's current grid end — settled, since Close forbids
-	// further submits before closing the input channel (taking submitMu
-	// also orders this read after any straggling Submit returned).
-	e.submitMu.Lock()
-	final := e.boundary
-	e.submitMu.Unlock()
-	return endInterval(final)
-}
-
-// pendingClose pairs a drained interval close with the grid boundary it
-// covers, for error attribution on the close worker.
-type pendingClose struct {
-	pc       *core.PendingClose
-	boundary int64
-}
-
-// processPipelined is the PipelineDepth > 1 variant of process: cuts
-// drain the closing interval in O(1) via PipelinedSink.BeginClose and
-// hand it to a single close-worker goroutine, which finishes closes
-// strictly in drain order and emits their reports — the ordered
-// completion queue. Ingestion continues on this goroutine while up to
-// PipelineDepth-1 finishes are in flight; a full close queue blocks the
-// next cut, propagating backpressure to Submit. The final flush at Close
-// drains the last interval, then joins the worker so every in-flight
-// report is emitted before Reports closes.
-func (e *Engine) processPipelined(ps PipelinedSink) error {
-	batch := make([]flow.Record, 0, e.cfg.BatchSize)
-	step := e.cfg.IntervalLen.Milliseconds()
-
-	closeCh := make(chan pendingClose, e.cfg.PipelineDepth-1)
-	failed := make(chan struct{}) // closed by the worker on its first error
-	workerDone := make(chan struct{})
-	var workerErr error // written before failed closes, read after workerDone
-	go func() {
-		defer close(workerDone)
-		for pc := range closeCh {
-			if workerErr != nil {
-				continue // drop: the engine is terminating
-			}
-			// The channel send that delivered pc promoted this goroutine to
-			// the scheduler's next slot, ahead of the producer the cut just
-			// unblocked. Yield before the long finish so that on saturated
-			// GOMAXPROCS the ingest path resumes first — deferred work must
-			// never cut the submit-latency line it exists to shorten.
-			runtime.Gosched()
-			rep, err := pc.pc.Finish()
-			if err != nil {
-				workerErr = fmt.Errorf("engine: closing interval at boundary %d: %w", pc.boundary, err)
-				close(failed)
-				continue
-			}
-			e.out <- rep
-		}
-	}()
-	// join stops the worker, waits for in-flight finishes, and returns
-	// the first worker error — every return path funnels through it so
-	// reports of completed closes are always emitted before Reports
-	// closes.
-	join := func() error {
-		close(closeCh)
-		<-workerDone
-		return workerErr
-	}
-
-	flushBatch := func() {
-		ps.ObserveBatch(batch)
-		batch = batch[:0]
-	}
-	beginClose := func(boundary int64) error {
-		flushBatch()
-		pc, err := ps.BeginClose()
-		if err != nil {
-			return fmt.Errorf("engine: draining interval at boundary %d: %w", boundary, err)
-		}
-		select {
-		case closeCh <- pendingClose{pc, boundary}:
-		case <-failed:
-			// The worker has failed; drop this drain and let the caller
-			// observe failed on its next check.
+			return err
 		}
 		return nil
 	}
@@ -579,16 +474,15 @@ func (e *Engine) processPipelined(ps PipelinedSink) error {
 					return join()
 				default:
 				}
-				if err := beginClose(m.boundary + int64(i)*step); err != nil {
-					if werr := join(); werr != nil {
-						return werr
-					}
+				if err := closeNext(m.boundary + int64(i)*step); err != nil {
 					return err
 				}
 			}
 		case m.recs != nil:
+			// Pre-formed batch: flush pending singles first to preserve
+			// submission order, then observe it whole.
 			flushBatch()
-			ps.ObserveBatch(m.recs)
+			e.sink.ObserveBatch(m.recs)
 		default:
 			batch = append(batch, m.rec)
 			if len(batch) >= e.cfg.BatchSize {
@@ -596,16 +490,101 @@ func (e *Engine) processPipelined(ps PipelinedSink) error {
 			}
 		}
 	}
-	// Final flush, as in process: drain the in-progress interval at the
-	// submit side's settled grid end, then join the worker.
+	// Final flush: close the in-progress interval. Its boundary is the
+	// submit side's current grid end — settled, since Close forbids
+	// further submits before closing the input channel (taking submitMu
+	// also orders this read after any straggling Submit returned).
 	e.submitMu.Lock()
 	final := e.boundary
 	e.submitMu.Unlock()
-	if err := beginClose(final); err != nil {
-		if werr := join(); werr != nil {
-			return werr
-		}
+	if err := closeNext(final); err != nil {
 		return err
 	}
 	return join()
+}
+
+// closeInline closes the interval ending at boundary on the processing
+// goroutine and emits its report — the PipelineDepth 1 close.
+func (e *Engine) closeInline(boundary int64) error {
+	var rep *core.Report
+	var err error
+	if bs, ok := e.sink.(BoundarySink); ok {
+		rep, err = bs.EndIntervalAt(boundary)
+	} else {
+		rep, err = e.sink.EndInterval()
+	}
+	if err != nil {
+		// Attribute the failure to its grid boundary: a distributed sink
+		// error ("collector unreachable") is actionable only with the
+		// interval it lost.
+		return fmt.Errorf("engine: closing interval at boundary %d: %w", boundary, err)
+	}
+	e.out <- rep
+	return nil
+}
+
+// pendingClose pairs a drained interval close with the grid boundary it
+// covers, for error attribution on the close worker.
+type pendingClose struct {
+	pc       *core.PendingClose
+	boundary int64
+}
+
+// startCloseWorker starts the PipelineDepth > 1 close machinery: a cut
+// drains the closing interval in O(1) via PipelinedSink.BeginClose and
+// hands it to a single close-worker goroutine, which finishes closes
+// strictly in drain order and emits their reports — the ordered
+// completion queue. Ingestion continues on the processing goroutine
+// while up to PipelineDepth-1 finishes are in flight; a full close queue
+// blocks the next cut, propagating backpressure to Submit. It returns
+// the close function, a channel closed on the worker's first error, and
+// join, which stops the worker, waits for in-flight finishes, and
+// returns the first worker error — every return path of process funnels
+// through join so reports of completed closes are always emitted before
+// Reports closes.
+func (e *Engine) startCloseWorker(ps PipelinedSink) (closeAt func(int64) error, failed <-chan struct{}, join func() error) {
+	closeCh := make(chan pendingClose, e.cfg.PipelineDepth-1)
+	failedCh := make(chan struct{}) // closed by the worker on its first error
+	workerDone := make(chan struct{})
+	var workerErr error // written before failedCh closes, read after workerDone
+	go func() {
+		defer close(workerDone)
+		for pc := range closeCh {
+			if workerErr != nil {
+				continue // drop: the engine is terminating
+			}
+			// The channel send that delivered pc promoted this goroutine to
+			// the scheduler's next slot, ahead of the producer the cut just
+			// unblocked. Yield before the long finish so that on saturated
+			// GOMAXPROCS the ingest path resumes first — deferred work must
+			// never cut the submit-latency line it exists to shorten.
+			runtime.Gosched()
+			rep, err := pc.pc.Finish()
+			if err != nil {
+				workerErr = fmt.Errorf("engine: closing interval at boundary %d: %w", pc.boundary, err)
+				close(failedCh)
+				continue
+			}
+			e.out <- rep
+		}
+	}()
+	closeAt = func(boundary int64) error {
+		pc, err := ps.BeginClose()
+		if err != nil {
+			return fmt.Errorf("engine: draining interval at boundary %d: %w", boundary, err)
+		}
+		select {
+		case closeCh <- pendingClose{pc, boundary}:
+		case <-failedCh:
+			// The worker has failed; drop this drain and let the caller
+			// observe failed on its next check.
+		}
+		return nil
+	}
+	join = func() error {
+		close(closeCh)
+		<-workerDone
+		return workerErr
+	}
+	return closeAt, failedCh, join
 }

@@ -10,8 +10,8 @@
 // in every shard, so adding the per-bin counts (and unioning the
 // bin→value maps) of N shard histograms yields precisely the histogram
 // one pipeline would have built from the whole stream. EndInterval
-// therefore absorbs the N-1 sibling banks into the primary shard and
-// runs detection (KL, thresholds, anomalous-bin identification, l-of-n
+// therefore merges the N-1 sibling shards' clones into the primary
+// shard's and runs detection (KL, thresholds, anomalous-bin identification, l-of-n
 // voting) over the merged state; the extraction stage stays distributed
 // — on an alarm each shard prefilters its own local flow buffer
 // concurrently and the suspicious sets merge in shard order before one
@@ -168,7 +168,7 @@ func (s *ShardedPipeline) ObserveBatch(recs []flow.Record) {
 }
 
 // EndInterval closes the current interval in lockstep across the
-// shards (core.EndIntervalGroup): the primary shard absorbs every
+// shards (core.EndIntervalGroup): the primary shard merges every
 // sibling's clone histograms (the cross-shard merge, exact because
 // equal-seed histogram clones are mergeable sketches) and closes
 // detection over the merged state; on an alarm each shard then
@@ -205,44 +205,20 @@ func (s *ShardedPipeline) ProcessInterval(recs []flow.Record) (*core.Report, err
 	return s.EndInterval()
 }
 
-// DrainSnapshot merges every sibling shard's open interval into the
-// primary (the same Absorb path EndInterval uses) and drains the
-// primary: the returned snapshot holds the whole sharded pipeline's open
-// interval — merged clone histograms plus the concatenated flow buffers
-// in shard order — and every shard is left empty, ready for the next
-// interval. No detection runs; this is the distributed agent's interval
-// close, where an agent machine runs a locally sharded pipeline and
-// ships the merged interval to a collector that owns detection. Callers
-// must not observe flows concurrently with a drain (the engine
-// serializes this, as it does for EndInterval).
-func (s *ShardedPipeline) DrainSnapshot() (core.PipelineSnapshot, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	primary := s.shards[0]
-	for _, sh := range s.shards[1:] {
-		if err := primary.Absorb(sh); err != nil {
-			return core.PipelineSnapshot{}, err
-		}
-	}
-	return primary.DrainSnapshot(), nil
-}
-
-// DrainOpenInterval is DrainSnapshot in the lean open-interval form: the
-// sibling shards merge into the primary exactly as above, but the drain
-// carries only the merged clone histograms and concatenated flow buffer
-// (core.OpenInterval), skipping the copy of detection history that an
-// agent — which never closes detection — keeps permanently empty. This
-// is the preferred distributed agent close.
+// DrainOpenInterval drains the open interval from every shard in
+// lockstep (core.DrainOpenIntervalGroup): the sibling shards' clone
+// histograms merge into the primary's exactly as in EndInterval, and
+// the drain carries the merged histograms plus the flow buffers
+// concatenated in shard order, leaving every shard empty. No detection
+// runs; this is the distributed agent's interval close, where an agent
+// machine runs a locally sharded pipeline and ships the merged interval
+// to a collector that owns detection. Callers must not observe flows
+// concurrently with a drain (the engine serializes this, as it does for
+// EndInterval).
 func (s *ShardedPipeline) DrainOpenInterval() (core.OpenInterval, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	primary := s.shards[0]
-	for _, sh := range s.shards[1:] {
-		if err := primary.Absorb(sh); err != nil {
-			return core.OpenInterval{}, err
-		}
-	}
-	return primary.DrainOpenInterval(), nil
+	return core.DrainOpenIntervalGroup(s.shards)
 }
 
 // Close releases every shard's detector-bank worker pool. It is

@@ -243,11 +243,11 @@ func BenchmarkShardedPipeline(b *testing.B) {
 	}
 }
 
-// TestShardedDrainSnapshot: draining a sharded pipeline merges every
-// shard's open interval into one snapshot — absorbing it elsewhere
+// TestShardedDrainOpenInterval: draining a sharded pipeline merges
+// every shard's open interval into one — absorbing it elsewhere
 // reproduces a plain pipeline's report over the same records — and
 // leaves all shards empty for the next interval.
-func TestShardedDrainSnapshot(t *testing.T) {
+func TestShardedDrainOpenInterval(t *testing.T) {
 	trace := testTrace(6, 2000, 4)
 	cfg := testPipelineConfig()
 
@@ -266,30 +266,22 @@ func TestShardedDrainSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer primary.Close()
-	scratch, err := core.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer scratch.Close()
 
 	for i, recs := range trace {
 		direct.ObserveBatch(recs)
 		sharded.ObserveBatch(recs)
 
-		snap, err := sharded.DrainSnapshot()
+		oi, err := sharded.DrainOpenInterval()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if snap.Buffer.Len() != len(recs) {
-			t.Fatalf("interval %d: drained %d records, want %d", i, snap.Buffer.Len(), len(recs))
+		if oi.Buffer.Len() != len(recs) {
+			t.Fatalf("interval %d: drained %d records, want %d", i, oi.Buffer.Len(), len(recs))
 		}
-		if redrain, err := sharded.DrainSnapshot(); err != nil || redrain.Buffer.Len() != 0 {
+		if redrain, err := sharded.DrainOpenInterval(); err != nil || redrain.Buffer.Len() != 0 {
 			t.Fatalf("interval %d: re-drain returned %d records, err %v", i, redrain.Buffer.Len(), err)
 		}
-		if err := scratch.RestoreSnapshot(snap); err != nil {
-			t.Fatal(err)
-		}
-		if err := primary.Absorb(scratch); err != nil {
+		if err := primary.AbsorbOpenInterval(oi); err != nil {
 			t.Fatal(err)
 		}
 		wantRep, err := direct.EndInterval()

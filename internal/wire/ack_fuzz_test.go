@@ -9,7 +9,7 @@ import (
 )
 
 // FuzzAckResume fuzzes the survivable-session control codecs — Hello
-// (with its v3 resume boundary), Ack/HelloOK boundaries, Error frames,
+// (with its resume boundary), Ack/HelloOK boundaries, Error frames,
 // and collector checkpoints — with the codec's standing canonicality
 // invariant: a decoder either rejects its input or accepts it, and
 // every accepted parse re-encodes to the exact input bytes. The codec
@@ -21,7 +21,8 @@ import (
 func FuzzAckResume(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
-	// A v2 hello (no resume field) and a v3 hello with a resume offset.
+	// A hello of the retired version 2 (rejected) and a current one with a
+	// resume offset.
 	f.Add(appendHello(nil, 2, 0, 0, 0x1234))
 	f.Add(appendHello(nil, 3, 7, 1196640900000, 0xdeadbeef))
 	// Ack/HelloOK boundaries: a grid boundary and the -1 "nothing yet".

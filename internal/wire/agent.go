@@ -13,21 +13,6 @@ import (
 	"anomalyx/internal/shard"
 )
 
-// FrameKind selects the encoding Ship uses for a drained interval.
-type FrameKind byte
-
-// The two interval encodings: the lean open-interval form agents ship
-// every boundary (clone histograms + flow buffer, no detection
-// history), and the full snapshot form for checkpoint-style transfers
-// where history matters.
-const (
-	// KindOpenInterval is the per-interval lean encoding; Ship refuses
-	// snapshots that carry detection history (an agent never does).
-	KindOpenInterval FrameKind = iota
-	// KindSnapshot is the full pipeline snapshot, history included.
-	KindSnapshot
-)
-
 // AgentOptions parameterizes the survivable agent session: the redial
 // policy and the replay-buffer bound. The zero value is a working
 // default (8 redials with jittered backoff, 64 buffered frames).
@@ -37,14 +22,14 @@ type AgentOptions struct {
 	Retry RetryConfig
 	// ReplayBuffer bounds how many shipped-but-unacked interval frames
 	// the agent retains for replay after a reconnect. When the buffer
-	// is full, Ship blocks until the collector acks (backpressure
+	// is full, shipping blocks until the collector acks (backpressure
 	// through the engine) — frames are never silently dropped. 0 takes
 	// the default (64).
 	ReplayBuffer int
 	// Dialer opens a new collector connection for the initial connect
 	// and every redial. DialAgent fills it with a TCP dial of its addr;
 	// leave it nil with NewAgent and the agent cannot redial (a lost
-	// connection is then a permanent error, the pre-v3 behavior).
+	// connection is then a permanent error).
 	Dialer func() (net.Conn, error)
 }
 
@@ -99,10 +84,10 @@ type Agent struct {
 	closed     bool
 	byeOK      bool // the collector confirmed our Bye
 
-	buf []byte // encode scratch, reused across snapshots
+	buf []byte // encode scratch, reused across frames
 }
 
-// DialAgent connects to a collector at addr, performs the v3 handshake
+// DialAgent connects to a collector at addr, performs the handshake
 // for the given agent ID, and returns the ready agent. cfg must be the
 // pipeline configuration the collector was started with (its detection
 // digest is what the handshake carries; a mismatch surfaces as a
@@ -125,16 +110,8 @@ func DialAgent(addr string, agentID int, cfg core.Config, opts AgentOptions) (*A
 	return a, nil
 }
 
-// Dial connects to a collector with default options.
-//
-// Deprecated: use DialAgent, which exposes the retry and replay-buffer
-// options; Dial is DialAgent with the zero AgentOptions.
-func Dial(addr string, agentID int, cfg core.Config) (*Agent, error) {
-	return DialAgent(addr, agentID, cfg, AgentOptions{})
-}
-
-// NewAgent wraps an established connection, performing the v3
-// handshake on it. An agent built this way has no dialer: it still
+// NewAgent wraps an established connection, performing the handshake
+// on it. An agent built this way has no dialer: it still
 // buffers frames until acked, but a lost connection is a permanent
 // error (set AgentOptions.Dialer via DialAgent for redials).
 func NewAgent(conn net.Conn, agentID int, cfg core.Config) (*Agent, error) {
@@ -171,7 +148,7 @@ func (a *Agent) redialAttempts() int {
 	return a.opts.Retry.MaxAttempts
 }
 
-// handshakeLocked performs the v3 handshake on conn — Hello carrying
+// handshakeLocked performs the handshake on conn — Hello carrying
 // the resume offset (the highest acked boundary), then the collector's
 // HelloOK or Error reply — trims the replay buffer to the collector's
 // resume line, resends the remaining unacked frames in boundary order,
@@ -285,7 +262,7 @@ func (a *Agent) ackLocked(boundary int64) {
 
 // readLoop consumes the collector→agent side of one connection: Ack
 // frames advance the ack line, an Error frame kills the stream, and a
-// read failure marks the connection lost (the next Ship redials).
+// read failure marks the connection lost (the next ship redials).
 func (a *Agent) readLoop(conn net.Conn, gen int) {
 	br := bufio.NewReader(conn)
 	for {
@@ -325,50 +302,24 @@ func (a *Agent) readLoop(conn net.Conn, gen int) {
 	}
 }
 
-// Ship sends one drained interval tagged with its absolute grid
-// boundary (Unix ms), in the encoding kind selects. The frame enters
-// the replay buffer first and leaves it only when the collector acks
-// the boundary, so a connection lost at any point is survivable: Ship
-// redials and replays per the retry policy, blocking (backpressure)
-// rather than dropping when the buffer is full. Boundaries must be
-// strictly increasing per agent. A permanent failure — retry budget
-// exhausted, config mismatch, no dialer — is returned and sticks.
-func (a *Agent) Ship(boundary int64, s core.PipelineSnapshot, kind FrameKind) error {
-	switch kind {
-	case KindOpenInterval:
-		if err := openIntervalOnly(s); err != nil {
-			return err
-		}
-		return a.shipFrame(boundary, frameOpenInterval, func(b []byte) []byte {
-			return appendOpenInterval(b, openIntervalOf(s))
-		})
-	case KindSnapshot:
-		return a.shipFrame(boundary, frameSnapshot, func(b []byte) []byte {
-			return AppendPipelineSnapshot(b, s)
-		})
-	default:
-		return fmt.Errorf("wire: unknown frame kind %d", kind)
-	}
-}
-
-// ShipOpenInterval ships a lean drained interval (see
-// Pipeline.DrainOpenInterval) with Ship's delivery semantics. This is
-// the preferred agent path: the lean drain never copies — and this
-// frame never carries — the detection history an agent keeps empty.
+// ShipOpenInterval sends one drained interval (see
+// core.Pipeline.DrainOpenInterval) tagged with its absolute grid
+// boundary (Unix ms). The frame enters the replay buffer first and
+// leaves it only when the collector acks the boundary, so a connection
+// lost at any point is survivable: ShipOpenInterval redials and
+// replays per the retry policy, blocking (backpressure) rather than
+// dropping when the buffer is full. Boundaries must be strictly
+// increasing per agent. A permanent failure — retry budget exhausted,
+// config mismatch, no dialer — is returned and sticks.
 func (a *Agent) ShipOpenInterval(boundary int64, oi core.OpenInterval) error {
-	return a.shipFrame(boundary, frameOpenInterval, func(b []byte) []byte {
+	_, err := a.ship(boundary, frameOpenInterval, func(b []byte) []byte {
 		return appendOpenInterval(b, oi)
-	})
-}
-
-// shipFrame is the shared delivery path: encode under the lock, enter
-// the replay buffer, write or redial.
-func (a *Agent) shipFrame(boundary int64, typ byte, encodeBody func([]byte) []byte) error {
-	_, err := a.ship(boundary, typ, encodeBody, false)
+	}, false)
 	return err
 }
 
-// ship implements shipFrame, with one extra mode for relays: when
+// ship is the shared delivery path — encode under the lock, enter the
+// replay buffer, write or redial — with one extra mode for relays: when
 // skipStale is set, a boundary at or below the collector's ack line (or
 // the replay-buffer tail) returns (false, nil) instead of an error — a
 // resumed relay legitimately re-closes boundaries its parent already
@@ -441,10 +392,10 @@ func (a *Agent) ship(boundary int64, typ byte, encodeBody func([]byte) []byte, s
 }
 
 // shipRelayInterval ships a relay's merged interval upstream as a
-// frameRelayInterval, with Ship's delivery semantics plus stale-skip:
-// the reported bool is false when the boundary was already settled
-// upstream (acked or still buffered from before a resume) and nothing
-// was sent. spanLo/spanLen describe the relay's global leaf span and
+// frameRelayInterval, with ShipOpenInterval's delivery semantics plus
+// stale-skip: the reported bool is false when the boundary was already
+// settled upstream (acked or still buffered from before a resume) and
+// nothing was sent. spanLo/spanLen describe the relay's global leaf span and
 // missing lists the in-span leaf IDs this boundary closed without.
 func (a *Agent) shipRelayInterval(boundary int64, spanLo, spanLen int, missing []int, oi core.OpenInterval) (bool, error) {
 	return a.ship(boundary, frameRelayInterval, func(b []byte) []byte {
@@ -580,7 +531,7 @@ func (a *Agent) sendByeLocked() error {
 		if a.conn == nil {
 			if a.opts.Dialer == nil && len(a.replay) == 0 {
 				// Nothing undelivered and no way to redial: end without
-				// the marker (the pre-v3 contract for wrapped conns).
+				// the marker.
 				return nil
 			}
 			if err := a.reconnectLocked(a.redialAttempts()); err != nil {

@@ -122,7 +122,7 @@ func BenchmarkLoopbackInterval(b *testing.B) {
 	engines := make([]*engine.Engine, agents)
 	agentConns := make([]*wire.Agent, agents)
 	for id := 0; id < agents; id++ {
-		a, err := wire.Dial(ln.Addr().String(), id, cfg)
+		a, err := wire.DialAgent(ln.Addr().String(), id, cfg, wire.AgentOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

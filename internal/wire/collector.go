@@ -92,13 +92,13 @@ const (
 	// (in-order delivery means the frame is coming or the connection
 	// will break).
 	statusLive
-	// statusDown: disconnected, expected back (v3, HoldWithTimeout).
-	// Blocks closes until it reconnects or the hold timer fires.
+	// statusDown: disconnected, expected back (HoldWithTimeout). Blocks
+	// closes until it reconnects or the hold timer fires.
 	statusDown
-	// statusDead: disconnected and not waited for — a v2 drop (cannot
-	// replay), a drop under CloseWithout, or a hold timeout. Never
-	// blocks; intervals close without it, flagged Partial. A v3 agent
-	// may still reconnect out of it.
+	// statusDead: disconnected and not waited for — a drop under
+	// CloseWithout, a hold timeout, or a stream rejected for a protocol
+	// violation. Never blocks; intervals close without it, flagged
+	// Partial. The agent may still reconnect out of it.
 	statusDead
 	// statusBye: ended its stream cleanly. Never blocks; a later hello
 	// for the same ID is rejected.
@@ -123,11 +123,11 @@ func (s agentStatus) metricsName() string {
 // Collector is the receiving half of the protocol. It merges the
 // agents' drained interval frames by absolute grid boundary, absorbing
 // each boundary's frames into its primary pipeline in agent-ID order
-// (the same Absorb merge path in-process sharding uses) and closing
+// (the same histogram merge in-process sharding runs) and closing
 // detection there, so the merged report stream is byte-identical to a
 // single process having run all agent partitions as local shards.
 //
-// Unlike the pre-v3 collector, a session survives its transports:
+// A session survives its transports:
 // connections may drop and reconnect freely (agents replay unacked
 // frames; the collector deduplicates against its per-agent absorbed
 // line and queue tail), a replacement connection for an agent ID
@@ -139,7 +139,6 @@ type Collector struct {
 	cc      CollectorConfig
 	digest  uint64
 	primary *core.Pipeline // owns all detection state
-	scratch *core.Pipeline // decode target, reused across snapshots
 	met     *metrics.Session
 	// fwd, when non-nil, puts the collector in forward mode: it is the
 	// child-facing half of a Relay, and every closed boundary is drained
@@ -163,16 +162,10 @@ func NewCollector(cfg core.Config, cc CollectorConfig) (*Collector, error) {
 	if err != nil {
 		return nil, err
 	}
-	scratch, err := core.New(cfg)
-	if err != nil {
-		primary.Close()
-		return nil, err
-	}
 	return &Collector{
 		cc:      cc,
 		digest:  ConfigDigest(cfg),
 		primary: primary,
-		scratch: scratch,
 		met:     metrics.NewSession(cc.Agents),
 	}, nil
 }
@@ -182,12 +175,9 @@ func NewCollector(cfg core.Config, cc CollectorConfig) (*Collector, error) {
 // latter in-process).
 func (c *Collector) Metrics() *metrics.Session { return c.met }
 
-// Close releases the collector's pipelines. It must not be called while
+// Close releases the collector's pipeline. It must not be called while
 // Serve is running.
-func (c *Collector) Close() {
-	c.primary.Close()
-	c.scratch.Close()
-}
+func (c *Collector) Close() { c.primary.Close() }
 
 // Event kinds of the merge loop. Everything that happens to a session —
 // handshakes, frames, disconnects, timeouts — is serialized into one
@@ -231,14 +221,11 @@ type helloReply struct {
 	credits chan struct{}
 }
 
-// queuedFrame is one received-but-unabsorbed interval frame: exactly
-// one of oi (the lean open-interval form, absorbed additively) and snap
-// (a full snapshot, restored into the scratch pipeline and merged) is
-// set.
+// queuedFrame is one received-but-unabsorbed interval frame, its open
+// interval absorbed additively at the boundary's close.
 type queuedFrame struct {
 	boundary int64
-	oi       *core.OpenInterval
-	snap     *core.PipelineSnapshot
+	oi       core.OpenInterval
 	// Relay frames additionally carry the sender's global leaf span and
 	// the in-span leaf IDs its boundary closed without; spanLen is 0 for
 	// plain agent frames.
@@ -251,9 +238,8 @@ type agentState struct {
 	status   agentStatus
 	gen      int           // connection generation; stale events carry an older one
 	conn     net.Conn      // live connection, nil otherwise
-	ackCh    chan int64    // latest-wins ack channel to the connection's ack writer (v3 only)
+	ackCh    chan ackFrame // latest-wins channel to the connection's ack writer
 	credits  chan struct{} // ingest tokens the connection's reader consumes
-	v2       bool          // protocol v2: no acks, a drop is final
 	queue    []queuedFrame // pending frames, boundary ascending
 	absorbed int64         // highest boundary absorbed into the primary
 	// emittedAtAbsorb is the session's emitted count when the agent last
@@ -421,8 +407,8 @@ func (c *Collector) restore(s *session) error {
 // against the merge loop, then decodes the agent→collector frame stream
 // into merge events, consuming one ingest credit per frame so a fast
 // agent cannot outrun the merge unboundedly. All collector→agent frames
-// on an accepted v3 connection are written by its ack writer; rejection
-// errors are written here, before any ack writer exists.
+// on an accepted connection are written by its ack writer; handshake
+// rejections are written here, before any ack writer exists.
 func (c *Collector) handleConn(conn net.Conn, events chan<- event, done <-chan struct{}) {
 	typ, payload, err := readFrame(conn)
 	if err != nil || typ != frameHello {
@@ -480,8 +466,8 @@ func (c *Collector) handleConn(conn net.Conn, events chan<- event, done <-chan s
 			return
 		}
 		switch typ {
-		case frameSnapshot, frameOpenInterval, frameRelayInterval:
-			frame, err := decodeIntervalPayload(typ, payload, c.fwd != nil)
+		case frameOpenInterval, frameRelayInterval:
+			frame, err := decodeIntervalPayload(typ, payload)
 			if err == nil && frame.boundary <= last {
 				err = fmt.Errorf("wire: boundary %d not after %d on one connection", frame.boundary, last)
 			}
@@ -502,61 +488,64 @@ func (c *Collector) handleConn(conn net.Conn, events chan<- event, done <-chan s
 			}
 			return
 		default:
-			fail(fmt.Errorf("wire: unexpected frame type %d", typ))
+			fail(errUnexpectedFrame(typ))
 			return
 		}
 	}
 }
 
-// byeOKSentinel on the ack channel makes the ack writer emit a ByeOK
-// confirmation instead of an Ack; it is pushed (then the channel
-// closed) when the merge loop applies the agent's Bye.
-const byeOKSentinel int64 = -1
+// errUnexpectedFrame is a protocol violation on an accepted stream: a
+// frame type no agent sends after its Hello, such as the retired type
+// 2. The merge loop answers it with a frameError, which ends the
+// agent's stream, instead of waiting for a redial that would resend the
+// same frame.
+type errUnexpectedFrame byte
 
-// ackWriter is the sole writer on an accepted v3 connection: first the
-// HelloOK reply carrying the agent's resume line, then an Ack frame per
-// value received on ch (or the ByeOK confirmation for the sentinel). It
-// exits on write error (the read side will notice the broken connection
-// independently), when the merge loop closes ch on retiring the
-// connection, or — for a session that ends abnormally with the
-// connection still live — on done, after draining any confirmation the
-// merge loop queued before ending. It closes conn on the way out; after
-// a confirmed Bye it is the connection's last user.
-func ackWriter(conn net.Conn, ch <-chan int64, resume int64, done <-chan struct{}) {
+func (t errUnexpectedFrame) Error() string {
+	return fmt.Sprintf("wire: unexpected frame type %d", byte(t))
+}
+
+// ackFrame is one collector→agent frame queued for a connection's ack
+// writer: an Ack, or the final ByeOK or Error.
+type ackFrame struct {
+	typ     byte
+	payload []byte
+}
+
+// ackOf is the Ack frame for cumulative boundary b.
+func ackOf(b int64) ackFrame { return ackFrame{frameAck, appendBoundary(nil, b)} }
+
+// ackWriter is the sole writer on an accepted connection: first the
+// HelloOK reply carrying the agent's resume line, then every frame
+// received on ch. It exits on write error (the read side will notice
+// the broken connection independently), when the merge loop closes ch
+// on retiring or ending the connection, or — for a session that ends
+// abnormally with the connection still live — on done, after draining
+// any frame the merge loop queued before ending. It closes conn on the
+// way out; after a final ByeOK or Error it is the connection's last
+// user.
+func ackWriter(conn net.Conn, ch <-chan ackFrame, resume int64, done <-chan struct{}) {
 	defer conn.Close()
 	w := bufio.NewWriter(conn)
-	if err := writeFrame(w, frameHelloOK, appendBoundary(nil, resume)); err != nil {
-		return
+	write := func(f ackFrame) bool {
+		return writeFrame(w, f.typ, f.payload) == nil && w.Flush() == nil
 	}
-	if err := w.Flush(); err != nil {
+	if !write(ackFrame{frameHelloOK, appendBoundary(nil, resume)}) {
 		return
-	}
-	write := func(b int64) bool {
-		typ := byte(frameAck)
-		var payload []byte
-		if b == byeOKSentinel {
-			typ = frameByeOK
-		} else {
-			payload = appendBoundary(nil, b)
-		}
-		if err := writeFrame(w, typ, payload); err != nil {
-			return false
-		}
-		return w.Flush() == nil
 	}
 	for {
 		select {
-		case b, ok := <-ch:
-			if !ok || !write(b) {
+		case f, ok := <-ch:
+			if !ok || !write(f) {
 				return
 			}
 		case <-done:
-			// Nothing further is owed, but a confirmation the merge loop
+			// Nothing further is owed, but a final frame the merge loop
 			// queued just before the session ended must still go out.
 			for {
 				select {
-				case b, ok := <-ch:
-					if !ok || !write(b) {
+				case f, ok := <-ch:
+					if !ok || !write(f) {
 						return
 					}
 				default:
@@ -567,12 +556,13 @@ func ackWriter(conn net.Conn, ch <-chan int64, resume int64, done <-chan struct{
 	}
 }
 
-// pushLatest delivers b on a capacity-1 channel, displacing a pending
-// older value — acks are cumulative, only the newest matters.
-func pushLatest(ch chan int64, b int64) {
+// pushLatest delivers f on a capacity-1 channel, displacing a pending
+// older frame — acks are cumulative, only the newest matters, and a
+// final ByeOK or Error supersedes any ack.
+func pushLatest(ch chan ackFrame, f ackFrame) {
 	for {
 		select {
-		case ch <- b:
+		case ch <- f:
 			return
 		default:
 		}
@@ -752,22 +742,19 @@ func (a *agentState) retireConn() {
 	a.gen++
 }
 
-// finishConn ends the agent's connection after a Bye: the ack writer
-// emits the ByeOK confirmation, then exits and closes the connection
-// itself — closing here would race the confirmation off the wire and
-// leave the agent's Close redialing a session that already ended. v2
-// connections (no ack writer) close immediately; they never wait.
-func (a *agentState) finishConn() {
-	if a.ackCh != nil {
-		pushLatest(a.ackCh, byeOKSentinel)
-		close(a.ackCh)
-		a.ackCh = nil
-		a.conn = nil // the ack writer owns closing it
-	} else if a.conn != nil {
-		a.conn.Close()
-		a.conn = nil
+// endConn ends the agent's connection with a final frame — ByeOK after
+// a Bye, Error after a protocol violation. The ack writer emits it, then
+// exits and closes the connection itself: closing here would race the
+// frame off the wire (a lost ByeOK leaves the agent's Close redialing a
+// session that already ended), so Serve's teardown forgets the
+// connection too.
+func (s *session) endConn(a *agentState, final ackFrame) {
+	if s.forget != nil {
+		s.forget(a.conn)
 	}
-	a.credits = nil
+	pushLatest(a.ackCh, final)
+	close(a.ackCh)
+	a.ackCh, a.conn, a.credits = nil, nil, nil
 	a.gen++
 }
 
@@ -791,22 +778,11 @@ func (c *Collector) closeBoundary(s *session, b int64, emit func(*core.Report) e
 		if len(st.queue) == 0 || st.queue[0].boundary != b {
 			continue
 		}
-		if fr := st.queue[0]; fr.oi != nil {
-			// Lean open-interval frame: fold the clone snapshots and flow
-			// buffer straight into the primary — no scratch restore, no
-			// history copy.
-			if err := c.primary.AbsorbOpenInterval(*fr.oi); err != nil {
-				return fmt.Errorf("wire: absorbing agent %d: %w", id, err)
-			}
-			frameMissing = append(frameMissing, fr.missing...)
-		} else {
-			if err := c.scratch.RestoreSnapshot(*fr.snap); err != nil {
-				return fmt.Errorf("wire: agent %d snapshot: %w", id, err)
-			}
-			if err := c.primary.Absorb(c.scratch); err != nil {
-				return fmt.Errorf("wire: absorbing agent %d: %w", id, err)
-			}
+		fr := st.queue[0]
+		if err := c.primary.AbsorbOpenInterval(fr.oi); err != nil {
+			return fmt.Errorf("wire: absorbing agent %d: %w", id, err)
 		}
+		frameMissing = append(frameMissing, fr.missing...)
 		st.queue[0] = queuedFrame{}
 		st.queue = st.queue[1:]
 		st.absorbed = b
@@ -889,7 +865,7 @@ func (c *Collector) handleEvent(s *session, ev event, ctx context.Context) error
 			}
 			st.refund()
 			if st.ackCh != nil && s.acked > 0 {
-				pushLatest(st.ackCh, s.acked)
+				pushLatest(st.ackCh, ackOf(s.acked))
 				c.met.Agent(ev.id).SetLastAcked(s.acked)
 			}
 			return nil
@@ -901,10 +877,7 @@ func (c *Collector) handleEvent(s *session, ev event, ctx context.Context) error
 		if ev.gen != st.gen {
 			return nil
 		}
-		if st.conn != nil && st.ackCh != nil && s.forget != nil {
-			s.forget(st.conn) // the ack writer closes it after the ByeOK
-		}
-		st.finishConn()
+		s.endConn(st, ackFrame{typ: frameByeOK})
 		st.status = statusBye
 		c.met.Agent(ev.id).SetStatus(metrics.StatusBye)
 	case evConnErr:
@@ -912,10 +885,16 @@ func (c *Collector) handleEvent(s *session, ev event, ctx context.Context) error
 		if ev.gen != st.gen {
 			return nil
 		}
-		st.retireConn()
-		if st.v2 || c.cc.Policy == CloseWithout {
+		switch _, violation := ev.err.(errUnexpectedFrame); {
+		case violation:
+			// The agent treats the Error as permanent; do not wait for it.
+			s.endConn(st, ackFrame{frameError, appendError(nil, errCodeOther, ev.err.Error())})
 			st.status = statusDead
-		} else {
+		case c.cc.Policy == CloseWithout:
+			st.retireConn()
+			st.status = statusDead
+		default:
+			st.retireConn()
 			st.status = statusDown
 		}
 		c.met.Agent(ev.id).SetStatus(st.status.metricsName())
@@ -983,23 +962,20 @@ func (c *Collector) handleHello(s *session, ev event) {
 	}
 	st.retireConn()
 	st.conn = ev.conn
-	st.v2 = h.version < 3
 	st.status = statusLive
 	st.credits = make(chan struct{}, c.cc.queueCap)
 	for i := 0; i < c.cc.queueCap; i++ {
 		st.credits <- struct{}{}
 	}
 	resume := st.tail()
-	if !st.v2 {
-		st.ackCh = make(chan int64, 1)
-		s.writers.Add(1)
-		ch := st.ackCh
-		go func() {
-			defer s.writers.Done()
-			ackWriter(ev.conn, ch, resume, s.done)
-		}()
-		c.met.Agent(h.agentID).SetLastAcked(resume)
-	}
+	st.ackCh = make(chan ackFrame, 1)
+	s.writers.Add(1)
+	ch := st.ackCh
+	go func() {
+		defer s.writers.Done()
+		ackWriter(ev.conn, ch, resume, s.done)
+	}()
+	c.met.Agent(h.agentID).SetLastAcked(resume)
 	c.met.Agent(h.agentID).SetStatus(metrics.StatusLive)
 	ev.reply <- helloReply{gen: st.gen, credits: st.credits}
 }

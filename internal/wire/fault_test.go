@@ -321,11 +321,11 @@ func shipIntervals(t *testing.T, agent *wire.Agent, cfg core.Config, part [][]fl
 	defer sp.Close()
 	for i := from; i < to; i++ {
 		sp.ObserveBatch(part[i])
-		snap, err := sp.DrainSnapshot()
+		oi, err := sp.DrainOpenInterval()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := agent.Ship(bnd(i), snap, wire.KindOpenInterval); err != nil {
+		if err := agent.ShipOpenInterval(bnd(i), oi); err != nil {
 			t.Fatalf("ship interval %d: %v", i, err)
 		}
 	}
@@ -395,7 +395,7 @@ func TestCloseWithoutFlagsDeadAgentPartial(t *testing.T) {
 	conn1.Close()
 
 	// Agent 0 runs the whole trace and ends cleanly.
-	a0, err := wire.Dial(ln.Addr().String(), 0, cfg)
+	a0, err := wire.DialAgent(ln.Addr().String(), 0, cfg, wire.AgentOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,7 +488,7 @@ func TestHoldTimeoutClosesPartial(t *testing.T) {
 	shipIntervals(t, a1, cfg, parts[1], 0, deadFrom)
 	conn1.Close()
 
-	a0, err := wire.Dial(ln.Addr().String(), 0, cfg)
+	a0, err := wire.DialAgent(ln.Addr().String(), 0, cfg, wire.AgentOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,11 +10,11 @@ import (
 )
 
 // TestOpenIntervalRoundTrip pins the lean codec's contract: the
-// encoding of a drained interval is smaller than the full form, decodes
-// deeply equal to the drained snapshot (canonical empty history
-// reconstructed), re-encodes byte-identically, and restores into a
-// pipeline that re-snapshots to the same full-codec bytes as one
-// restored from the full encoding.
+// encoding of an open interval (the snapshot of a pipeline that never
+// closed detection) is smaller than the full form, decodes deeply equal
+// to the snapshot (canonical empty history reconstructed), re-encodes
+// byte-identically, and restores into a pipeline that re-snapshots to
+// the same full-codec bytes as one restored from the full encoding.
 func TestOpenIntervalRoundTrip(t *testing.T) {
 	p, err := core.New(core.Config{})
 	if err != nil {
@@ -22,7 +22,7 @@ func TestOpenIntervalRoundTrip(t *testing.T) {
 	}
 	defer p.Close()
 	p.ObserveBatch(testTrace(1, 3000, 0)[0])
-	snap := p.DrainSnapshot()
+	snap := p.Snapshot()
 
 	lean, err := wire.EncodeOpenIntervalSnapshot(snap)
 	if err != nil {
@@ -40,7 +40,7 @@ func TestOpenIntervalRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(dec, snap) {
-		t.Fatal("decoded open-interval snapshot differs from the drained original")
+		t.Fatal("decoded open-interval snapshot differs from the original")
 	}
 	re, err := wire.EncodeOpenIntervalSnapshot(dec)
 	if err != nil {
@@ -81,8 +81,8 @@ func TestOpenIntervalRejectsHistory(t *testing.T) {
 		t.Fatal("open-interval encoding accepted a snapshot with detection history")
 	}
 
-	snap := p.DrainSnapshot() // drain keeps history: still refused
-	if _, err := wire.EncodeOpenIntervalSnapshot(snap); err == nil {
+	p.DrainOpenInterval() // a drain empties the open interval but keeps history: still refused
+	if _, err := wire.EncodeOpenIntervalSnapshot(p.Snapshot()); err == nil {
 		t.Fatal("open-interval encoding accepted a drained snapshot with history")
 	}
 
@@ -94,7 +94,7 @@ func TestOpenIntervalRejectsHistory(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fresh.Close()
-	lean, err := wire.EncodeOpenIntervalSnapshot(fresh.DrainSnapshot())
+	lean, err := wire.EncodeOpenIntervalSnapshot(fresh.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,40 +82,19 @@ func decodeRelayHeader(r *reader) (spanLo, spanLen int, missing []int) {
 }
 
 // decodeIntervalPayload parses the payload of one interval-bearing
-// frame (frameSnapshot, frameOpenInterval, or frameRelayInterval) into
-// the queued form the merge loop absorbs. In forward mode (a relay's
-// child-facing collector) a full snapshot is accepted only when it is
-// history-free, and is converted to the lean open-interval form — a
-// relay never closes detection, so it has nowhere to put history.
-func decodeIntervalPayload(typ byte, payload []byte, forward bool) (queuedFrame, error) {
+// frame (frameOpenInterval or frameRelayInterval) into the queued form
+// the merge loop absorbs.
+func decodeIntervalPayload(typ byte, payload []byte) (queuedFrame, error) {
 	rd := &reader{buf: payload}
 	boundary := rd.varint()
 	if v := rd.byte(); rd.err() == nil && v != codecVersion {
 		rd.fail("unsupported codec version %d (want %d)", v, codecVersion)
 	}
 	frame := queuedFrame{boundary: boundary}
-	switch typ {
-	case frameOpenInterval:
-		oi := decodeOpenIntervalBody(rd)
-		frame.oi = &oi
-	case frameRelayInterval:
+	if typ == frameRelayInterval {
 		frame.spanLo, frame.spanLen, frame.missing = decodeRelayHeader(rd)
-		oi := decodeOpenIntervalBody(rd)
-		frame.oi = &oi
-	default: // frameSnapshot
-		snap := decodePipelineBody(rd)
-		if forward {
-			if rd.err() == nil {
-				if err := openIntervalOnly(snap); err != nil {
-					return queuedFrame{}, err
-				}
-				oi := openIntervalOf(snap)
-				frame.oi = &oi
-			}
-		} else {
-			frame.snap = &snap
-		}
 	}
+	frame.oi = decodeOpenIntervalBody(rd)
 	rd.expectEOF()
 	if rd.err() == nil && boundary <= 0 {
 		rd.fail("non-positive snapshot boundary %d", boundary)
@@ -207,7 +186,7 @@ func decodeRelayCheckpoint(payload []byte) (relayCheckpoint, error) {
 	for i := 0; i < held; i++ {
 		var e replayEntry
 		e.typ = r.byte()
-		if r.err() == nil && e.typ != frameSnapshot && e.typ != frameOpenInterval && e.typ != frameRelayInterval {
+		if r.err() == nil && e.typ != frameOpenInterval && e.typ != frameRelayInterval {
 			r.fail("held frame %d has non-interval type %d", i, e.typ)
 		}
 		e.boundary = r.varint()
@@ -314,7 +293,7 @@ type RelayConfig struct {
 // the same merge path a root collector uses, but instead of closing
 // detection it drains the merged open interval and ships it upstream —
 // the parent (ultimately the root) owns all detection state. Both faces
-// reuse the v3 ack/replay/redial machinery, with the relay's ack to a
+// reuse the ack/replay/redial machinery, with the relay's ack to a
 // child gated on the upstream ack of the merged frame (or on a durable
 // relay checkpoint), so no boundary is lost to a relay crash.
 type Relay struct {
@@ -478,7 +457,7 @@ func (c *Collector) closeBoundaryForward(s *session, b int64) error {
 			continue
 		}
 		fr := st.queue[0]
-		if err := c.primary.AbsorbOpenInterval(*fr.oi); err != nil {
+		if err := c.primary.AbsorbOpenInterval(fr.oi); err != nil {
 			return fmt.Errorf("wire: absorbing child %d: %w", id, err)
 		}
 		frameMissing = append(frameMissing, fr.missing...)
@@ -554,7 +533,7 @@ func (c *Collector) ackChildren(s *session) {
 	}
 	for id, st := range s.ag {
 		if st.ackCh != nil {
-			pushLatest(st.ackCh, s.acked)
+			pushLatest(st.ackCh, ackOf(s.acked))
 			c.met.Agent(id).SetLastAcked(s.acked)
 		}
 	}

@@ -405,7 +405,7 @@ func TestRelayLeafDeathPartialNamesLeaf(t *testing.T) {
 		wg.Add(1)
 		go func(addr string, c, leaf int) {
 			defer wg.Done()
-			a, err := wire.Dial(addr, c, cfg)
+			a, err := wire.DialAgent(addr, c, cfg, wire.AgentOptions{})
 			if err != nil {
 				t.Errorf("leaf %d: dial: %v", leaf, err)
 				return

@@ -15,9 +15,7 @@ import (
 // input bytes. That canonicality is what keeps a malformed child frame
 // from propagating upstream — a relay only ever ships bytes it produced
 // itself from an accepted parse, so garbage either dies at the decoder
-// or round-trips to something well-formed. Forward-mode snapshot
-// decoding (the relay's full-snapshot → open-interval conversion) is
-// additionally pinned to never hand back detection history.
+// or round-trips to something well-formed.
 func FuzzRelayFrame(f *testing.F) {
 	oi := openIntervalOf(mustSnapshot(core.Config{}))
 	f.Add([]byte{})
@@ -47,21 +45,13 @@ func FuzzRelayFrame(f *testing.F) {
 	}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if fr, err := decodeIntervalPayload(frameRelayInterval, data, false); err == nil {
-			if fr.oi == nil || fr.snap != nil || fr.spanLen < 1 {
-				t.Fatalf("accepted relay frame in wrong form: oi=%v snap=%v span=[%d,+%d)",
-					fr.oi != nil, fr.snap != nil, fr.spanLo, fr.spanLen)
+		if fr, err := decodeIntervalPayload(frameRelayInterval, data); err == nil {
+			if fr.spanLen < 1 {
+				t.Fatalf("accepted relay frame with empty span [%d,+%d)", fr.spanLo, fr.spanLen)
 			}
-			re := appendRelayPayload(nil, fr.boundary, fr.spanLo, fr.spanLen, fr.missing, *fr.oi)
+			re := appendRelayPayload(nil, fr.boundary, fr.spanLo, fr.spanLen, fr.missing, fr.oi)
 			if !bytes.Equal(re, data) {
 				t.Fatalf("relay frame re-encode mismatch:\n in  %x\n out %x", data, re)
-			}
-		}
-		// Forward-mode snapshot decoding converts at the relay: an accepted
-		// parse must be history-free and already in open-interval form.
-		if fr, err := decodeIntervalPayload(frameSnapshot, data, true); err == nil {
-			if fr.oi == nil || fr.snap != nil {
-				t.Fatalf("forward-mode snapshot kept full form: oi=%v snap=%v", fr.oi != nil, fr.snap != nil)
 			}
 		}
 		if c, err := decodeRelayCheckpoint(data); err == nil {

@@ -16,7 +16,7 @@ type RetryConfig struct {
 	// MaxAttempts is the number of redials tried per disconnect before
 	// the agent gives up with a permanent error. 0 takes the default
 	// (8); negative disables reconnection entirely (one strike and the
-	// stream is dead, the pre-v3 behavior).
+	// stream is dead).
 	MaxAttempts int
 	// BaseDelay is the delay before the second attempt (the first retry
 	// fires immediately); it doubles per attempt up to MaxDelay.

@@ -230,15 +230,15 @@ func decodePipelineBody(r *reader) core.PipelineSnapshot {
 // (Pipeline.DrainOpenInterval) on the agent side and the additive
 // absorb (Pipeline.AbsorbOpenInterval) on the collector side, so the
 // dead history is never copied, encoded, or restored anywhere on the
-// per-interval path. Full snapshots remain the format for true
-// checkpoints, where history is the point.
+// per-interval path. Full snapshots are the checkpoint format, where
+// history is the point.
 
 // openIntervalOnly guards the lean form: encoding a snapshot that
 // carries history would silently discard it, so it is refused instead.
 func openIntervalOnly(s core.PipelineSnapshot) error {
 	for i, ds := range s.Bank.Detectors {
 		if ds.HavePrev || ds.HaveKL || len(ds.Diffs) != 0 || ds.Interval != 0 {
-			return fmt.Errorf("wire: detector %d carries detection history; ship a full snapshot frame", i)
+			return fmt.Errorf("wire: detector %d carries detection history; encode a full snapshot", i)
 		}
 		if len(ds.Prev) != len(ds.Clones) || len(ds.KLPrev) != len(ds.Clones) {
 			return fmt.Errorf("wire: detector %d history shape does not match its %d clones", i, len(ds.Clones))
@@ -250,13 +250,13 @@ func openIntervalOnly(s core.PipelineSnapshot) error {
 			}
 			for _, n := range prev {
 				if n != 0 {
-					return fmt.Errorf("wire: detector %d carries a reference interval; ship a full snapshot frame", i)
+					return fmt.Errorf("wire: detector %d carries a reference interval; encode a full snapshot", i)
 				}
 			}
 		}
 		for _, kl := range ds.KLPrev {
 			if kl != 0 {
-				return fmt.Errorf("wire: detector %d carries a KL history; ship a full snapshot frame", i)
+				return fmt.Errorf("wire: detector %d carries a KL history; encode a full snapshot", i)
 			}
 		}
 	}

@@ -22,11 +22,11 @@
 // tagged with the interval's absolute grid boundary. The open-interval
 // form is the full snapshot minus the detection history an agent never
 // accumulates (all-zero reference counts, empty KL series); the full
-// Snapshot frame remains for true checkpoints, so one codec serves
-// both at the right sizes. A Collector accepts N
-// agent connections, groups frames by boundary, absorbs each group into
-// its primary pipeline in agent-ID order via the same Absorb merge path
-// the in-process shard package uses, and closes detection there. Because
+// snapshot is the checkpoint format, so one codec serves both at the
+// right sizes. A Collector accepts N agent connections, groups frames by
+// boundary, absorbs each group into its primary pipeline in agent-ID
+// order — the same histogram merge the in-process shard package runs —
+// and closes detection there. Because
 // equal-seed histogram clones are exact mergeable sketches, the
 // collector's reports are byte-identical to a single process having run
 // all N partitions as local shards — the property the loopback

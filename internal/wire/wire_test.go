@@ -221,25 +221,27 @@ func TestDrainAbsorbEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer agent.Close()
-	scratch, err := core.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer scratch.Close()
 
 	for i, recs := range trace {
 		direct.ObserveBatch(recs)
 		agent.ObserveBatch(recs)
 
-		snap := agent.DrainSnapshot()
-		dec, err := wire.DecodePipelineSnapshot(wire.EncodePipelineSnapshot(snap))
+		// The agent never closes detection, so its snapshot is its open
+		// interval alone: encode it in the lean form, then drain.
+		enc, err := wire.EncodeOpenIntervalSnapshot(agent.Snapshot())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := scratch.RestoreSnapshot(dec); err != nil {
+		agent.DrainOpenInterval()
+		dec, err := wire.DecodeOpenIntervalSnapshot(enc)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := primary.Absorb(scratch); err != nil {
+		oi := core.OpenInterval{Buffer: dec.Buffer}
+		for _, ds := range dec.Bank.Detectors {
+			oi.Clones = append(oi.Clones, ds.Clones)
+		}
+		if err := primary.AbsorbOpenInterval(oi); err != nil {
 			t.Fatal(err)
 		}
 
@@ -370,7 +372,8 @@ func readRawFrame(conn io.Reader) (byte, []byte, error) {
 }
 
 // rawHello builds a Hello payload: magic, uvarint version and agent ID,
-// the v3 zigzag-varint resume offset, and the trailing 8-byte digest.
+// the zigzag-varint resume offset (absent from the retired v2 Hello),
+// and the trailing 8-byte digest.
 func rawHello(magic string, version, agentID uint64, resume int64, digest uint64) []byte {
 	p := []byte(magic)
 	p = binary.AppendUvarint(p, version)
@@ -426,12 +429,13 @@ func TestCollectorRejectsMalformedStreams(t *testing.T) {
 		silent   bool
 	}{
 		{
+			// Version 2 is retired: its Hello (no resume offset) is refused.
 			name: "hello protocol version too old",
 			send: func(t *testing.T, conn net.Conn) {
-				writeRawFrame(t, conn, rawFrameHello, rawHello("AXWP", 1, 0, 0, digest))
+				writeRawFrame(t, conn, rawFrameHello, rawHello("AXWP", 2, 0, 0, digest))
 			},
 			wantCode: 3, // errCodeBadVersion
-			wantMsg:  "unsupported protocol version 1",
+			wantMsg:  "unsupported protocol version 2",
 		},
 		{
 			name: "hello protocol version too new",
@@ -521,21 +525,11 @@ func TestCollectorRejectsMalformedStreams(t *testing.T) {
 					t.Fatalf("expected silent close, got frame type %d", typ)
 				}
 			} else {
-				typ, payload, err := readRawFrame(conn)
-				if err != nil {
-					t.Fatalf("reading rejection reply: %v", err)
-				}
-				if typ != rawFrameError {
-					t.Fatalf("reply frame type = %d, want %d (error)", typ, rawFrameError)
-				}
-				code, n := binary.Uvarint(payload)
-				if n <= 0 {
-					t.Fatalf("malformed error payload % x", payload)
-				}
+				code, msg := readRejection(t, conn)
 				if code != tc.wantCode {
 					t.Errorf("error code = %d, want %d", code, tc.wantCode)
 				}
-				if msg := string(payload[n:]); !strings.Contains(msg, tc.wantMsg) {
+				if !strings.Contains(msg, tc.wantMsg) {
 					t.Errorf("error message %q does not contain %q", msg, tc.wantMsg)
 				}
 			}
@@ -544,7 +538,7 @@ func TestCollectorRejectsMalformedStreams(t *testing.T) {
 			// The rejection must not have hurt the session: a well-behaved
 			// agent connects, ends cleanly, and the session closes with the
 			// empty-stream parity report.
-			agent, err := wire.Dial(ln.Addr().String(), 0, cfg)
+			agent, err := wire.DialAgent(ln.Addr().String(), 0, cfg, wire.AgentOptions{})
 			if err != nil {
 				t.Fatalf("well-behaved agent after rejection: %v", err)
 			}
@@ -611,10 +605,30 @@ func TestDuplicateAgentIDNewestWins(t *testing.T) {
 	}
 }
 
-// TestV2AgentStillAccepted pins backward compatibility: a protocol-v2
-// Hello (no resume offset, no reply expected) is accepted, and the v2
-// stream's Bye ends the session without any collector→agent traffic.
-func TestV2AgentStillAccepted(t *testing.T) {
+// readRejection reads the collector's frameError reply on conn and
+// returns its code and message.
+func readRejection(t *testing.T, conn net.Conn) (code uint64, msg string) {
+	t.Helper()
+	typ, payload, err := readRawFrame(conn)
+	if err != nil {
+		t.Fatalf("reading rejection reply: %v", err)
+	}
+	if typ != rawFrameError {
+		t.Fatalf("reply frame type = %d, want %d (error)", typ, rawFrameError)
+	}
+	code, n := binary.Uvarint(payload)
+	if n <= 0 {
+		t.Fatalf("malformed error payload % x", payload)
+	}
+	return code, string(payload[n:])
+}
+
+// TestRetiredSnapshotFrameRejected: interval frame type 2 (the retired
+// full-snapshot frame) is a protocol error on an accepted stream. The
+// collector answers it with a frameError naming the type and stops
+// waiting for the agent, so the one-agent session ends with its
+// empty-stream parity report.
+func TestRetiredSnapshotFrameRejected(t *testing.T) {
 	cfg := testPipelineConfig()
 	ln, coll, emitted, serveErr := errorPathCollector(t, cfg)
 	defer coll.Close()
@@ -623,14 +637,23 @@ func TestV2AgentStillAccepted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	writeRawFrame(t, conn, rawFrameHello, rawHello("AXWP", 2, 0, 0, wire.ConfigDigest(cfg)))
-	writeRawFrame(t, conn, rawFrameBye, nil)
-	// v2 is one-way: the collector applies the Bye and closes the
-	// connection without writing anything.
-	if typ, _, err := readRawFrame(conn); err == nil {
-		t.Fatalf("v2 connection received unexpected frame type %d", typ)
+	defer conn.Close()
+	writeRawFrame(t, conn, rawFrameHello, rawHello("AXWP", 3, 0, 0, wire.ConfigDigest(cfg)))
+	if typ, _, err := readRawFrame(conn); err != nil || typ != rawFrameHelloOK {
+		t.Fatalf("hello reply: type %d, err %v; want HelloOK", typ, err)
 	}
-	conn.Close()
+	snap, err := wire.EncodeOpenIntervalSnapshot(core.PipelineSnapshot{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeRawFrame(t, conn, 2, append(binary.AppendVarint(nil, 900000), snap...))
+	code, msg := readRejection(t, conn)
+	if code != 0 { // errCodeOther
+		t.Errorf("error code = %d, want 0", code)
+	}
+	if !strings.Contains(msg, "unexpected frame type 2") {
+		t.Errorf("error message %q does not name frame type 2", msg)
+	}
 	if err := <-serveErr; err != nil {
 		t.Fatalf("collector: %v", err)
 	}
