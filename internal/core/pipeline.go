@@ -318,15 +318,13 @@ func checkGroup(group []*Pipeline) error {
 // closeInterval is the interval close — the one implementation behind
 // both close paths:
 //
-//  1. the siblings' clone sets merge into the primary's in group order
-//     (Bank.MergeDrained: exact mergeable sketches, one task per
-//     detector);
+//  1. the siblings' clone sets merge into the primary's (mergeSiblings);
 //  2. detection closes over the merged sets against the primary bank's
 //     history (Bank.FinishInterval, which resets the primary's sets);
 //  3. on an alarm every member's buffer is prefiltered concurrently and
 //     the suspicious sets concatenate in group order before one mining
 //     pass (finishExtract);
-//  4. the siblings' histograms and every buffer are reset.
+//  4. every buffer is reset.
 //
 // states[i] is group[i]'s share of the interval. The synchronous close
 // (EndIntervalGroup) passes the live state under the members' locks;
@@ -334,15 +332,12 @@ func checkGroup(group []*Pipeline) error {
 // then recycles it.
 func closeInterval(group []*Pipeline, states []intervalState) (*Report, error) {
 	primary := group[0]
-	merged := states[0].clones
-	if len(states) > 1 {
-		siblings := make([][][]*histogram.Histogram, len(states)-1)
-		for i := range siblings {
-			siblings[i] = states[i+1].clones
-		}
-		primary.bank.MergeDrained(merged, siblings)
+	sets := make([][][]*histogram.Histogram, len(states))
+	for i, st := range states {
+		sets[i] = st.clones
 	}
-	det := primary.bank.FinishInterval(merged)
+	mergeSiblings(primary.bank, sets)
+	det := primary.bank.FinishInterval(sets[0])
 	rep := &Report{
 		Interval:  det.Interval,
 		Detection: det,
@@ -355,10 +350,7 @@ func closeInterval(group []*Pipeline, states []intervalState) (*Report, error) {
 	if det.Alarm && det.Meta.Count() > 0 {
 		err = finishExtract(primary.cfg, rep, prefilterGroup(group, states, det.Meta))
 	}
-	for i, st := range states {
-		if i > 0 {
-			resetClones(st.clones)
-		}
+	for _, st := range states {
 		st.buffer.Reset()
 	}
 	if err != nil {
@@ -367,12 +359,22 @@ func closeInterval(group []*Pipeline, states []intervalState) (*Report, error) {
 	return rep, nil
 }
 
-// resetClones empties every histogram of a bank's clone sets, keeping
-// their value-table arenas for the next interval.
-func resetClones(sets [][]*histogram.Histogram) {
-	for _, set := range sets {
-		for _, h := range set {
-			h.Reset()
+// mergeSiblings is the cross-shard merge of a close or drain: it folds
+// the siblings' clone sets (sets[1:], one per group member after the
+// primary) into the primary's (sets[0]) in group order with
+// Bank.MergeDrained — exact mergeable sketches, one task per detector —
+// and then resets the siblings' histograms, keeping their value-table
+// arenas for the next interval.
+func mergeSiblings(bank *detector.Bank, sets [][][]*histogram.Histogram) {
+	if len(sets) < 2 {
+		return
+	}
+	bank.MergeDrained(sets[0], sets[1:])
+	for _, sib := range sets[1:] {
+		for _, set := range sib {
+			for _, h := range set {
+				h.Reset()
+			}
 		}
 	}
 }

@@ -73,9 +73,8 @@ func (p *Pipeline) DrainOpenInterval() OpenInterval {
 
 // DrainOpenIntervalGroup drains one open interval in lockstep across a
 // group of shard pipelines: the siblings' clone sets merge into the
-// primary's (Bank.MergeDrained, as in the interval close) and the
-// merged sets are drained, and the flow buffers concatenate in group
-// order. Every member is left empty, ready for the next interval; no
+// primary's (mergeSiblings, as in the interval close), the merged sets
+// are drained, and the flow buffers concatenate in group order. Every member is left empty, ready for the next interval; no
 // detection runs. This is the agent's close when it runs a locally
 // sharded pipeline: the collector receives one open interval equal to
 // an unsharded pipeline's over the same flows, up to the buffer's
@@ -88,18 +87,12 @@ func DrainOpenIntervalGroup(group []*Pipeline) (OpenInterval, error) {
 		p.mu.Lock()
 		defer p.mu.Unlock()
 	}
-	primary := group[0]
-	if len(group) > 1 {
-		siblings := make([][][]*histogram.Histogram, len(group)-1)
-		for i, p := range group[1:] {
-			siblings[i] = p.bank.LiveInterval()
-		}
-		primary.bank.MergeDrained(primary.bank.LiveInterval(), siblings)
-		for _, sets := range siblings {
-			resetClones(sets)
-		}
+	sets := make([][][]*histogram.Histogram, len(group))
+	for i, p := range group {
+		sets[i] = p.bank.LiveInterval()
 	}
-	oi := OpenInterval{Clones: primary.bank.DrainInterval()}
+	mergeSiblings(group[0].bank, sets)
+	oi := OpenInterval{Clones: group[0].bank.DrainInterval()}
 	n := 0
 	for _, p := range group {
 		n += p.buffer.Len()

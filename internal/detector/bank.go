@@ -246,9 +246,10 @@ func (b *Bank) SwapInterval(repl [][]*histogram.Histogram) [][]*histogram.Histog
 // by SwapInterval, or the live sets of LiveInterval. It deliberately
 // does NOT take the bank mutex: drained sets are private to the caller
 // and each detector's interval history is touched only by finish calls,
-// so detection here may overlap ObserveBatch on the swapped-in sets. The caller must serialize FinishInterval calls in
-// swap order — the KL scheme compares each interval against the previous
-// one. cur's histograms are reset in place for recycling.
+// so detection here may overlap ObserveBatch on the swapped-in sets.
+// The caller must serialize FinishInterval calls in interval order —
+// the KL scheme compares each interval against the previous one. cur's
+// histograms are reset in place for recycling.
 func (b *Bank) FinishInterval(cur [][]*histogram.Histogram) BankResult {
 	results := make([]Result, len(b.detectors))
 	b.runTasks(len(b.detectors), func(i int) func() {

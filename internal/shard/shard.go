@@ -11,8 +11,9 @@
 // bin→value maps) of N shard histograms yields precisely the histogram
 // one pipeline would have built from the whole stream. EndInterval
 // therefore merges the N-1 sibling shards' clones into the primary
-// shard's and runs detection (KL, thresholds, anomalous-bin identification, l-of-n
-// voting) over the merged state; the extraction stage stays distributed
+// shard's and runs detection (KL, thresholds, anomalous-bin
+// identification, l-of-n voting) over the merged state; the extraction
+// stage stays distributed
 // — on an alarm each shard prefilters its own local flow buffer
 // concurrently and the suspicious sets merge in shard order before one
 // mining pass — and the resulting report is byte-identical to an
