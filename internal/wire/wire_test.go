@@ -429,13 +429,12 @@ func TestCollectorRejectsMalformedStreams(t *testing.T) {
 		silent   bool
 	}{
 		{
-			// Version 2 is retired: its Hello (no resume offset) is refused.
 			name: "hello protocol version too old",
 			send: func(t *testing.T, conn net.Conn) {
-				writeRawFrame(t, conn, rawFrameHello, rawHello("AXWP", 2, 0, 0, digest))
+				writeRawFrame(t, conn, rawFrameHello, rawHello("AXWP", 1, 0, 0, digest))
 			},
 			wantCode: 3, // errCodeBadVersion
-			wantMsg:  "unsupported protocol version 2",
+			wantMsg:  "unsupported protocol version 1",
 		},
 		{
 			name: "hello protocol version too new",
@@ -621,6 +620,45 @@ func readRejection(t *testing.T, conn net.Conn) (code uint64, msg string) {
 		t.Fatalf("malformed error payload % x", payload)
 	}
 	return code, string(payload[n:])
+}
+
+// TestV2AgentRejected pins the retirement of protocol v2: a v2 Hello
+// (no resume offset) is refused with errCodeBadVersion instead of being
+// accepted as a one-way stream, and the refusal does not hurt the
+// session, which a v3 agent then ends with the empty-stream parity
+// report.
+func TestV2AgentRejected(t *testing.T) {
+	cfg := testPipelineConfig()
+	ln, coll, emitted, serveErr := errorPathCollector(t, cfg)
+	defer coll.Close()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeRawFrame(t, conn, rawFrameHello, rawHello("AXWP", 2, 0, 0, wire.ConfigDigest(cfg)))
+	code, msg := readRejection(t, conn)
+	if code != 3 { // errCodeBadVersion
+		t.Errorf("error code = %d, want 3", code)
+	}
+	if !strings.Contains(msg, "unsupported protocol version 2") {
+		t.Errorf("error message %q does not name version 2", msg)
+	}
+	conn.Close()
+
+	agent, err := wire.DialAgent(ln.Addr().String(), 0, cfg, wire.AgentOptions{})
+	if err != nil {
+		t.Fatalf("v3 agent after v2 rejection: %v", err)
+	}
+	if err := agent.Close(); err != nil {
+		t.Fatalf("v3 agent close: %v", err)
+	}
+	if err := <-serveErr; err != nil {
+		t.Fatalf("collector: %v", err)
+	}
+	if n := <-emitted; n != 1 {
+		t.Fatalf("session emitted %d reports, want 1 parity report", n)
+	}
 }
 
 // TestRetiredSnapshotFrameRejected: interval frame type 2 (the retired
